@@ -49,7 +49,7 @@ class ProtocolError(SimulationError, RuntimeError):
 class ExperimentError(ReproError):
     """Base class for experiment-campaign execution errors.
 
-    Raised by the resilient runner (supervision, checkpoint/resume) when a
+    Raised by the phase executor (supervision, checkpoint/resume) when a
     campaign cannot make progress. The CLI maps each subclass to a
     documented exit code in :mod:`repro.cli` (``EXIT_BY_ERROR``).
     """

@@ -18,7 +18,6 @@ default to the paper's and honor ``REPRO_SAMPLES`` / ``REPRO_FAST``.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,15 +27,8 @@ from repro.core.policies import CoalescingPolicy, make_policy
 from repro.experiments.reporting import format_table
 from repro.gpu.config import GPUConfig
 from repro.rng import RngStream
-from repro.telemetry import (
-    ProgressReporter,
-    SpanProfiler,
-    Telemetry,
-    get_logger,
-)
-from repro.utils import (batched_mode, batched_timing_mode,
-                         env_flag, scaled_samples)
-from repro.workloads.plaintext import random_plaintexts
+from repro.telemetry import Telemetry
+from repro.utils import scaled_samples
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
 __all__ = [
@@ -52,8 +44,6 @@ __all__ = [
 
 #: The four defense mechanisms compared throughout Section VI, paper order.
 MECHANISMS: Tuple[str, ...] = ("fss", "fss_rts", "rss", "rss_rts")
-
-log = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,8 +80,7 @@ class ExperimentContext:
     batched_timing: Optional[bool] = None
     #: Optional worker supervision (deadlines, retries, quarantine) — a
     #: ``repro.experiments.runner.SupervisionPolicy``. None (the default)
-    #: means unsupervised: failures propagate, nothing is retried, and
-    #: collection takes the exact pre-supervision code path.
+    #: means unsupervised: failures propagate and nothing is retried.
     supervision: Optional[object] = None
     #: Optional deterministic fault plan (``repro.faults.FaultPlan``) fired
     #: at sample boundaries — testing/chaos only.
@@ -100,18 +89,18 @@ class ExperimentContext:
     #: (``repro.experiments.checkpoint.CheckpointStore``) for --resume.
     checkpoint: Optional[object] = None
     #: Mutable incident ledger (``repro.experiments.runner.CampaignStats``)
-    #: the resilient runner reports retries/quarantines into; read by the
+    #: the phase executor reports retries/quarantines into; read by the
     #: CLI after the run for the exit code and the stderr summary.
     campaign: Optional[object] = None
     #: Optional persistent run ledger (``repro.telemetry.journal
     #: .RunJournal``): phase/chunk/engine events append to the campaign
-    #: directory's ``events.jsonl``. None (the default) records nothing;
-    #: resilient runs fall back to their checkpoint store's journal.
+    #: directory's ``events.jsonl``. None (the default) falls back to the
+    #: checkpoint store's journal, and records nothing without one.
     journal: Optional[object] = None
     #: Optional shard-worker policy (``repro.experiments.shard
     #: .ShardPolicy``) for coordinator-free multi-process draining
     #: (``rcoal shard``). When set (together with ``checkpoint``), every
-    #: collection phase routes through the lease-claiming shard loop.
+    #: collection phase runs through the lease executor.
     shard: Optional[object] = None
 
     def sample_count(self, paper: int = 100, fast: int = 40) -> int:
@@ -179,7 +168,7 @@ def build_server(
     retain_kernel_results: bool = False,
     telemetry=None,
 ) -> EncryptionServer:
-    """Stand up the experiment's victim server (shared by serial/parallel).
+    """Stand up the experiment's victim server (every collection route).
 
     The server's instance stream is never consumed during collection —
     every launch passes an explicit per-sample stream — but randomized
@@ -209,93 +198,14 @@ def collect_records(
     every mechanism in a comparison sees identical inputs; the victim's
     per-launch draws come from a per-(policy, sample) stream derived from
     ``(root_seed, stream name, sample index)``. Because no sample's draws
-    depend on the samples before it, a ``ctx.jobs > 1`` context fans the
-    batch out across worker processes with bit-identical results.
+    depend on the samples before it, the phase executor
+    (:func:`repro.experiments.runner.collect_records`) may run the batch
+    inline, across worker processes, or across lease-claiming shard
+    workers with bit-identical results.
     """
-    if ctx.shard is not None:
-        from repro.experiments.shard import collect_records_sharded
-        return collect_records_sharded(
-            ctx, policy, num_samples,
-            counts_only=counts_only,
-            retain_kernel_results=retain_kernel_results,
-        )
-    if (ctx.supervision is not None or ctx.checkpoint is not None
-            or ctx.faults is not None):
-        from repro.experiments.runner import collect_records_resilient
-        return collect_records_resilient(
-            ctx, policy, num_samples,
-            counts_only=counts_only,
-            retain_kernel_results=retain_kernel_results,
-        )
-    if ctx.effective_jobs() > 1 and num_samples > 1:
-        from repro.experiments.runner import collect_records_parallel
-        return collect_records_parallel(
-            ctx, policy, num_samples,
-            counts_only=counts_only,
-            retain_kernel_results=retain_kernel_results,
-        )
-    profiler = (ctx.telemetry.profiler if ctx.telemetry is not None
-                and ctx.telemetry.enabled else SpanProfiler.disabled())
-    batched = counts_only and batched_mode(ctx.batched)
-    journal = label = None
-    if ctx.journal is not None and ctx.journal.enabled:
-        from repro.experiments.checkpoint import phase_label
-        journal = ctx.journal
-        label = phase_label(ctx, policy, num_samples, counts_only,
-                            retain_kernel_results)
-        if counts_only:
-            engine = "batched" if batched else "event"
-        else:
-            engine = ("batched_timing"
-                      if batched_timing_mode(ctx.batched_timing)
-                      else "event")
-        journal.append("phase_start", phase=label,
-                       policy=policy.describe(), samples=num_samples,
-                       jobs=1, mode="serial", engine=engine,
-                       counts_only=counts_only)
-        if counts_only:
-            journal.append("engine_select", phase=label, engine=engine)
-    phase_started = time.perf_counter()
-    with profiler.span("serial.workload"):
-        plaintexts = random_plaintexts(num_samples, ctx.lines,
-                                       ctx.stream("workload"))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=ctx.telemetry)
-    log.info("collecting %d samples under %s%s", num_samples,
-             policy.describe(), " (counts only)" if counts_only else "")
-    reporter = ProgressReporter(
-        num_samples, label=policy.describe(),
-        enabled=ctx.progress or env_flag("REPRO_PROGRESS"),
-        board=ctx.telemetry.board if ctx.telemetry is not None else None,
-    )
-    stream_name = victim_stream_name(policy)
-    if batched:
-        from repro.gpu.batched import BatchedCountsCore
-        core = BatchedCountsCore(server)
-        with profiler.span("serial.simulate"):
-            records = core.encrypt_batch(
-                plaintexts,
-                [ctx.sample_stream(stream_name, index)
-                 for index in range(num_samples)],
-                on_record=lambda record: reporter.update(),
-            )
-        reporter.finish()
-    else:
-        records = []
-        with profiler.span("serial.simulate"):
-            for index, plaintext in enumerate(plaintexts):
-                records.append(server.encrypt(
-                    plaintext, rng=ctx.sample_stream(stream_name, index)
-                ))
-                reporter.update()
-        reporter.finish()
-    if journal is not None:
-        journal.append(
-            "phase_finish", phase=label, samples=num_samples,
-            completed=len(records),
-            seconds=round(time.perf_counter() - phase_started, 6))
-    return server, records
+    from repro.experiments.runner import collect_records as run_phase
+    return run_phase(ctx, policy, num_samples, counts_only=counts_only,
+                     retain_kernel_results=retain_kernel_results)
 
 
 def corresponding_attack(ctx: ExperimentContext, policy_name: str,

@@ -147,9 +147,9 @@ def phase_dir_name(label: str) -> str:
 def phase_label(ctx, policy, num_samples: int, counts_only: bool,
                 retain_kernel_results: bool) -> str:
     """Checkpoint phase identity: everything that shapes this phase's
-    records beyond the campaign-level fingerprint. Shared by the serial,
-    parallel, and resilient collection paths and by the run ledger, so
-    one phase has one name everywhere."""
+    records beyond the campaign-level fingerprint. Shared by every
+    collection executor and by the run ledger, so one phase has one name
+    everywhere."""
     return (f"{policy.describe()}|n={num_samples}"
             f"|counts={int(counts_only)}"
             f"|retain={int(retain_kernel_results)}"
@@ -211,7 +211,7 @@ class CheckpointStore:
         self.run_dir = Path(run_dir)
         self.fingerprint = fingerprint
         #: The campaign's run ledger, living next to the manifest. Other
-        #: layers (the resilient runner, the CLI) append through this —
+        #: layers (the phase executor, the CLI) append through this —
         #: the store's own events are ``campaign_open``/``checkpoint_save``.
         self.journal = RunJournal(self.run_dir / JOURNAL_NAME)
 

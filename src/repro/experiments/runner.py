@@ -1,66 +1,67 @@
-"""Process-parallel and resilient experiment execution.
+"""The phase executor: every sample-collection phase runs through here.
 
 The paper's evaluation protocol is embarrassingly parallel twice over:
 ``rcoal all`` runs ~20 independent experiments, and inside each one
-:func:`~repro.experiments.base.collect_records` simulates ~100 independent
-kernel launches. This module fans both levels out across a
-``ProcessPoolExecutor`` while keeping every output **bit-identical** to a
-serial run:
+:func:`collect_records` simulates ~100 independent kernel launches. Every
+sample is a pure function of ``(root_seed, stream name, sample index)``
+(see ``ExperimentContext.sample_stream``), so a phase is just a set of
+sample indices, and :func:`collect_records` drives it the same way on
+every route:
 
-* all per-sample randomness is re-derived from ``(root_seed, stream name,
-  sample index)`` (see ``ExperimentContext.sample_stream``), so a worker
-  simulates sample *i* without replaying samples ``0..i-1``;
-* workers are assigned *contiguous* sample chunks and their results —
-  records, metrics, traces — are folded back in chunk order, so merged
-  telemetry equals what one serial run would have recorded
-  (``MetricsRegistry.merge`` / ``Tracer.merge``);
-* per-worker progress increments fan in through a queue to a single
-  aggregated status line (``ProgressAggregator``), never interleaved
-  stderr writes.
+1. **restore** the chunks a checkpoint store already holds;
+2. **plan** the missing indices into contiguous chunks;
+3. **execute** the chunks through one of three executors, chosen from
+   the context — *lease* (``ctx.shard``: claim fixed-boundary chunks
+   from peers sharing a campaign directory, see :mod:`.shard`), *pool*
+   (``effective_jobs() > 1``: a warm ``ProcessPoolExecutor``), or
+   *inline* (in the calling process);
+4. **commit** each finished chunk to memory or to the checkpoint store;
+5. **fold** the chunks back in sample order — records, metrics and
+   traces — so the result is bit-identical to one serial run whatever
+   the route, chunking, or resume history (``MetricsRegistry.merge`` /
+   ``Tracer.merge`` telescope in sample order).
 
-The same per-sample derivation is what makes the **resilience layer**
-(:func:`collect_records_resilient`) free of replay cost: completed sample
-spans checkpoint to disk and a resumed campaign re-simulates only the
-missing indices, byte-identical to an uninterrupted run. A
-:class:`SupervisionPolicy` adds worker supervision on top — per-chunk
-deadlines that reap hung workers, capped-exponential-backoff retries,
-failing-chunk splitting to isolate poison samples, quarantine instead of
-campaign abort, and graceful degradation to in-process execution when the
-pool itself keeps dying. Supervision and checkpointing are **off by
-default**: the happy path below is byte-identical to earlier releases.
+One chunk worker, :func:`_run_chunk`, simulates a chunk on every route.
+The phase ledger (``phase_start``/``engine_select``/``phase_finish`` and
+the chunk events) is written by :class:`_Phase` alone. An optional
+:class:`SupervisionPolicy` adds per-chunk deadlines that reap hung
+workers, capped-exponential-backoff retries, failing-chunk splitting to
+isolate poison samples, quarantine instead of campaign abort, and
+graceful degradation to inline execution when the pool keeps dying.
+Without one, failures propagate unchanged.
+
+The plain in-memory route (inline, no checkpoint store, no supervision)
+is one chunk over the whole batch, simulated straight into the caller's
+telemetry on the server the phase returns — nothing is pickled.
 
 Workers inherit the parent's environment (``REPRO_FAST`` etc.); payload
 functions live at module level so the pool works under both the ``fork``
-and ``spawn`` start methods.
+and ``spawn`` start methods. ``concurrent.futures`` is imported where a
+pool is used, so inline phases never pay for it.
 """
 
 from __future__ import annotations
 
 import atexit
 import math
-import multiprocessing
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import CoalescingPolicy
-from repro.errors import WorkerCrashError
+from repro.errors import ConfigurationError, ExperimentError, \
+    WorkerCrashError
 from repro.experiments.base import (
     ExperimentContext,
-    ExperimentResult,
     build_server,
     victim_stream_name,
 )
 from repro.experiments.checkpoint import ChunkResult, phase_label
+from repro.experiments.shard import run_leases
 from repro.telemetry import (
-    ProgressAggregator,
     ProgressReporter,
-    QueueProgress,
     SpanProfiler,
     Telemetry,
     get_logger,
@@ -74,31 +75,21 @@ __all__ = [
     "CampaignStats",
     "SupervisionPolicy",
     "chunk_indices",
-    "collect_records_parallel",
-    "collect_records_resilient",
+    "collect_records",
     "run_experiments_parallel",
 ]
 
 log = get_logger(__name__)
 
-#: Worker-global progress queue, installed by the pool initializer (a
-#: multiprocessing queue cannot ride along in pickled task payloads).
-_WORKER_PROGRESS_QUEUE = None
-
-
-def _init_worker(progress_queue) -> None:
-    global _WORKER_PROGRESS_QUEUE
-    _WORKER_PROGRESS_QUEUE = progress_queue
-
 
 #: Process-wide warm worker pool (see :func:`_shared_pool`).
-_SHARED_POOL: Optional[ProcessPoolExecutor] = None
+_SHARED_POOL: Optional["ProcessPoolExecutor"] = None
 _SHARED_POOL_JOBS = 0
 _SHARED_POOL_ATEXIT = False
 
 
-def _shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """A warm, process-wide pool for non-progress-reporting fan-outs.
+def _shared_pool(jobs: int) -> "ProcessPoolExecutor":
+    """The warm, process-wide pool every pool-executed phase uses.
 
     Standing up a ``ProcessPoolExecutor`` costs worker spawn plus the
     package import chain — whole seconds on small hosts — and a figure
@@ -106,19 +97,18 @@ def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     cell, so paying that per call made small parallel campaigns *slower*
     than serial (fig07's 0.93x parallel "speedup" in BENCH_3). Reusing
     one pool amortizes the spin-up to once per process; workers hold no
-    per-call state (every task payload carries its full context), so the
-    results stay bit-identical.
-
-    Only used when no progress queue is needed: the queue rides in via
-    the pool initializer, so progress-reporting/--serve runs keep their
-    per-call pools, where spin-up is noise against the run length anyway.
+    per-call state (every task payload carries its full context, and
+    progress rides back with each chunk's result), so the results stay
+    bit-identical. A pool the supervisor reaps or finds broken is
+    discarded, and the next call stands up a fresh one.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     global _SHARED_POOL, _SHARED_POOL_JOBS, _SHARED_POOL_ATEXIT
     if _SHARED_POOL is not None and _SHARED_POOL_JOBS != jobs:
         _discard_shared_pool()
     if _SHARED_POOL is None:
-        _SHARED_POOL = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(None,))
+        _SHARED_POOL = ProcessPoolExecutor(max_workers=jobs)
         _SHARED_POOL_JOBS = jobs
         if not _SHARED_POOL_ATEXIT:
             atexit.register(_discard_shared_pool)
@@ -142,8 +132,8 @@ class SupervisionPolicy:
 
     Attached to an :class:`ExperimentContext` (``--supervise`` on the
     CLI); ``None`` — the default — means no supervision: failures
-    propagate and nothing is retried, exactly the pre-supervision
-    behavior.
+    propagate and nothing is retried. The chunking knobs below also
+    size unsupervised phases.
     """
 
     #: Wall-clock seconds one chunk attempt may take before the pool is
@@ -178,7 +168,7 @@ class SupervisionPolicy:
 class CampaignStats:
     """Mutable incident ledger for one campaign (one CLI invocation).
 
-    The resilient runner increments these as it supervises; the CLI reads
+    The phase executor increments these as it supervises; the CLI reads
     them afterwards for the exit code and the stderr summary. Workers get
     a pickled copy, so only parent-side incidents accumulate here — the
     live cross-process view is the telemetry board's incident counters.
@@ -284,226 +274,101 @@ def _abort_pool(pool, futures: Sequence = ()) -> None:
         proc.join(timeout=2)
 
 
-def _collect_chunk(payload) -> Tuple[List[EncryptionRecord],
-                                     Optional[Telemetry]]:
-    """Worker: simulate one contiguous chunk of a sample batch."""
-    (ctx, policy, num_samples, indices, counts_only,
-     retain_kernel_results, trace_capacity, profile) = payload
-    progress = QueueProgress(_WORKER_PROGRESS_QUEUE)
-    return _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                           retain_kernel_results, trace_capacity,
-                           faults=None, attempt=0, progress=progress,
-                           in_worker=True, profile=profile)
+# ---------------------------------------------------------------------------
+# The chunk worker.
+# ---------------------------------------------------------------------------
 
 
-def _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                    retain_kernel_results, trace_capacity, faults, attempt,
-                    progress, in_worker,
-                    profile=False) -> Tuple[List[EncryptionRecord],
-                                            Optional[Telemetry]]:
-    """Simulate one contiguous span of samples into a private telemetry.
+@dataclass(frozen=True)
+class _ChunkJob:
+    """Everything a chunk worker needs to simulate any span of one phase.
 
-    Shared by the plain pool worker, the supervised pool worker, and the
-    in-process resilient path, so all three produce identical records and
-    mergeable telemetry. Fault checks run *before* a sample simulates:
-    a retried chunk re-simulates from scratch, so partial work from a
-    failed attempt never leaks into the results.
-
-    ``profile`` turns on wall-clock span recording in the chunk's private
-    telemetry; the spans ride back to the parent through the normal
-    telemetry merge. The simulated work itself is unaffected.
+    Picklable: the pool ships it with every task. ``ctx`` is the
+    :func:`_worker_context` of the phase's context.
     """
-    telemetry = (Telemetry(trace_capacity=trace_capacity, profile=profile)
-                 if trace_capacity else None)
-    profiler = (telemetry.profiler if telemetry is not None
+
+    ctx: ExperimentContext
+    policy: CoalescingPolicy
+    num_samples: int
+    counts_only: bool
+    retain_kernel_results: bool
+    #: Trace ring size of the chunk's private telemetry; 0 = none.
+    trace_capacity: int = 0
+    #: Record wall-clock spans in the chunk's private telemetry.
+    profile: bool = False
+    #: Bound fault plan fired at sample boundaries (testing/chaos only).
+    faults: Optional[object] = None
+
+
+class _NoProgress:
+    def update(self, amount: int = 1) -> None:
+        pass
+
+
+def _run_chunk(job: _ChunkJob, indices: Sequence[int], attempt: int = 0,
+               progress=None, in_worker: bool = True, spans: str = "chunk",
+               server: Optional[EncryptionServer] = None,
+               telemetry: Optional[Telemetry] = None):
+    """Simulate one contiguous span of samples: the one chunk worker.
+
+    Returns ``(records, telemetry, seconds)``: the chunk's records in
+    sample order, its private telemetry (None when uninstrumented), and
+    the wall seconds this call took — what ``chunk_done`` journals on
+    every route. Fault checks run *before* a sample simulates: a retried
+    chunk re-simulates from scratch, so partial work from a failed
+    attempt never leaks into the results.
+
+    Given ``server`` (and that server's ``telemetry``), the chunk
+    simulates on it instead of standing up a private one, and returns
+    telemetry None — the records were observed in place. ``spans`` names
+    the wall-clock spans: ``serial`` in the calling process, ``chunk`` in
+    pool and lease workers.
+    """
+    started = time.perf_counter()
+    ctx = job.ctx
+    private = server is None
+    if private:
+        telemetry = (Telemetry(trace_capacity=job.trace_capacity,
+                               profile=job.profile)
+                     if job.trace_capacity else None)
+    profiler = (telemetry.profiler
+                if telemetry is not None and telemetry.enabled
                 else SpanProfiler.disabled())
-    # Regenerating the full batch keeps workers seed-identical to serial;
-    # plaintext generation is bulk RNG draws, a rounding error next to one
-    # kernel simulation.
-    with profiler.span("chunk.workload"):
-        plaintexts = random_plaintexts(num_samples, ctx.lines,
+    # Regenerating the full batch keeps every chunk seed-identical to one
+    # serial run; plaintext generation is bulk RNG draws, a rounding
+    # error next to one kernel simulation.
+    with profiler.span(f"{spans}.workload"):
+        plaintexts = random_plaintexts(job.num_samples, ctx.lines,
                                        ctx.stream("workload"))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    stream_name = victim_stream_name(policy)
-    if counts_only and faults is None and batched_mode(ctx.batched):
-        # Same engine selection as the serial path; fault plans keep the
-        # per-sample loop so injected failures fire at sample boundaries.
-        from repro.gpu.batched import BatchedCountsCore
-        core = BatchedCountsCore(server)
-        with profiler.span("chunk.simulate"):
-            records = core.encrypt_batch(
+    if private:
+        server = build_server(ctx, job.policy, counts_only=job.counts_only,
+                              retain_kernel_results=job.retain_kernel_results,
+                              telemetry=telemetry)
+    progress = progress if progress is not None else _NoProgress()
+    stream_name = victim_stream_name(job.policy)
+    with profiler.span(f"{spans}.simulate"):
+        if job.counts_only and job.faults is None and ctx.batched:
+            # Fault plans keep the per-sample loop so injected failures
+            # fire at sample boundaries.
+            from repro.gpu.batched import BatchedCountsCore
+            records = BatchedCountsCore(server).encrypt_batch(
                 [plaintexts[index] for index in indices],
                 [ctx.sample_stream(stream_name, index)
                  for index in indices],
                 on_record=lambda record: progress.update(),
             )
-        return records, telemetry
-    records = []
-    with profiler.span("chunk.simulate"):
-        for index in indices:
-            if faults is not None:
-                faults.maybe_fire_sample(index, attempt,
-                                         in_worker=in_worker)
-            records.append(server.encrypt(
-                plaintexts[index],
-                rng=ctx.sample_stream(stream_name, index)
-            ))
-            progress.update()
-    return records, telemetry
-
-
-def _collect_chunk_supervised(payload) -> Tuple[List[EncryptionRecord],
-                                                Optional[Telemetry]]:
-    """Worker: supervised variant of :func:`_collect_chunk` — carries the
-    fault plan and the supervisor-assigned attempt number."""
-    (ctx, policy, num_samples, indices, counts_only, retain_kernel_results,
-     trace_capacity, faults, attempt, profile) = payload
-    progress = QueueProgress(_WORKER_PROGRESS_QUEUE)
-    return _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                           retain_kernel_results, trace_capacity,
-                           faults=faults, attempt=attempt,
-                           progress=progress, in_worker=True,
-                           profile=profile)
-
-
-def collect_records_parallel(
-    ctx: ExperimentContext,
-    policy: CoalescingPolicy,
-    num_samples: int,
-    counts_only: bool = False,
-    retain_kernel_results: bool = False,
-) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
-    """Parallel drop-in for :func:`repro.experiments.base.collect_records`.
-
-    Fans the sample batch out over ``ctx.effective_jobs()`` worker
-    processes and returns records in sample order, bit-identical to the
-    serial path. When ``ctx.telemetry`` is enabled, each worker records
-    into a private :class:`Telemetry` and the chunks are merged back in
-    order, so metrics and traces also match a serial instrumented run.
-
-    A Ctrl-C mid-fan-out cancels pending chunks, kills the worker
-    processes, flushes a partial-progress note to stderr, and re-raises —
-    the CLI maps it to a distinct exit code instead of a traceback.
-    """
-    jobs = min(ctx.effective_jobs(), num_samples)
-    telemetry = ctx.telemetry
-    instrumented = telemetry is not None and telemetry.enabled
-    trace_capacity = telemetry.tracer.capacity if instrumented else 0
-    profiler = (telemetry.profiler if instrumented
-                else SpanProfiler.disabled())
-    worker_ctx = _worker_context(ctx)
-    journal = _phase_journal(ctx)
-    label = None
-    if journal.enabled:
-        label = phase_label(ctx, policy, num_samples, counts_only,
-                            retain_kernel_results)
-        if counts_only:
-            engine = "batched" if batched_mode(ctx.batched) else "event"
         else:
-            engine = ("batched_timing"
-                      if batched_timing_mode(ctx.batched_timing)
-                      else "event")
-        journal.append("phase_start", phase=label,
-                       policy=policy.describe(), samples=num_samples,
-                       jobs=jobs, mode="parallel", engine=engine,
-                       counts_only=counts_only)
-        if counts_only:
-            journal.append("engine_select", phase=label, engine=engine)
-    phase_started = time.perf_counter()
-
-    progress_enabled = ctx.progress or env_flag("REPRO_PROGRESS")
-    board = telemetry.board if instrumented else None
-    # The live ``--serve`` board also needs the worker fan-in queue, even
-    # when the stderr status line is off.
-    queue = multiprocessing.get_context().Queue() \
-        if progress_enabled or board is not None else None
-
-    log.info("collecting %d samples under %s across %d workers%s",
-             num_samples, policy.describe(), jobs,
-             " (counts only)" if counts_only else "")
-    chunks = chunk_indices(num_samples, jobs)
-    records: List[EncryptionRecord] = []
-    # No progress queue → the warm process-wide pool can serve this call;
-    # otherwise the queue must ride in via the initializer of a fresh one.
-    warm = queue is None
-    pool = _shared_pool(jobs) if warm else ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(queue,))
-    try:
-        with ProgressAggregator(
-            num_samples, queue, label=policy.describe(),
-            enabled=progress_enabled, board=board,
-        ):
-            # "runner.submit" is payload pickling + task hand-off; the
-            # first "runner.wait" additionally covers pool spin-up
-            # (worker spawn + imports) the first time a pool is used,
-            # which is why it dwarfs later waits on short runs.
-            with profiler.span("runner.submit"):
-                futures = [
-                    pool.submit(_collect_chunk,
-                                (worker_ctx, policy, num_samples,
-                                 list(chunk), counts_only,
-                                 retain_kernel_results, trace_capacity,
-                                 profiler.enabled))
-                    for chunk in chunks
-                ]
-            if journal.enabled:
-                for chunk in chunks:
-                    journal.append("chunk_dispatch", phase=label,
-                                   start=chunk[0], end=chunk[-1],
-                                   samples=len(chunk), attempt=0)
-            # Collect in submission (= sample) order; merge telemetry the
-            # same way so the stitched result equals a serial run's.
-            try:
-                for future, chunk in zip(futures, chunks):
-                    with profiler.span("runner.wait"):
-                        chunk_records, chunk_telemetry = future.result()
-                    if journal.enabled:
-                        # Completion latency since the fan-out started —
-                        # an upper bound on the chunk's own wall time.
-                        journal.append(
-                            "chunk_done", phase=label, start=chunk[0],
-                            end=chunk[-1], samples=len(chunk),
-                            seconds=round(
-                                time.perf_counter() - phase_started, 6))
-                    records.extend(chunk_records)
-                    if instrumented:
-                        with profiler.span("runner.merge"):
-                            telemetry.merge(chunk_telemetry)
-            except KeyboardInterrupt:
-                _abort_pool(pool, futures)
-                if warm:
-                    _discard_shared_pool()
-                print(f"\n[interrupted: {len(records)}/{num_samples} "
-                      f"samples collected under {policy.describe()}; "
-                      f"partial results discarded — use --resume to make "
-                      f"campaigns restartable]", file=sys.stderr)
-                raise
-    except BrokenProcessPool:
-        # A dead warm pool must not poison later calls; the plain
-        # (unsupervised) path still propagates the crash unchanged.
-        if warm:
-            _discard_shared_pool()
-        raise
-    finally:
-        if not warm:
-            pool.shutdown(wait=True)
-
-    if journal.enabled:
-        journal.append(
-            "phase_finish", phase=label, samples=num_samples,
-            completed=len(records),
-            seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    return server, records
-
-
-# ---------------------------------------------------------------------------
-# Resilient execution: checkpoint/resume + worker supervision.
-# ---------------------------------------------------------------------------
+            records = []
+            for index in indices:
+                if job.faults is not None:
+                    job.faults.maybe_fire_sample(index, attempt,
+                                                 in_worker=in_worker)
+                records.append(server.encrypt(
+                    plaintexts[index],
+                    rng=ctx.sample_stream(stream_name, index)))
+                progress.update()
+    return (records, telemetry if private else None,
+            time.perf_counter() - started)
 
 
 def _worker_context(ctx: ExperimentContext) -> ExperimentContext:
@@ -522,50 +387,113 @@ def _worker_context(ctx: ExperimentContext) -> ExperimentContext:
                      batched_timing=batched_timing_mode(ctx.batched_timing))
 
 
-def _phase_journal(ctx: ExperimentContext) -> RunJournal:
-    """The ledger a collection phase should append to: an explicit
-    ``ctx.journal`` wins, then the checkpoint store's, then the no-op."""
-    if ctx.journal is not None:
-        return ctx.journal
-    store = ctx.checkpoint
-    if store is not None and getattr(store, "journal", None) is not None:
-        return store.journal
-    return RunJournal.disabled()
-
-
 def _note_incident(board, kind: str) -> None:
     if board is not None:
         board.incident(kind)
 
 
-class _PhaseSupervisor:
-    """Drives one collection phase's work items to completion.
+# ---------------------------------------------------------------------------
+# The phase: ledger frame, supervision bookkeeping, commit, fold.
+# ---------------------------------------------------------------------------
 
-    Owns the retry/split/quarantine bookkeeping shared by the pool loop
-    and the in-process loop. ``results`` maps a chunk's first sample index
-    to its :class:`ChunkResult`; ``failed`` maps quarantined sample
-    indices to their final error string.
+
+class _Phase:
+    """Parent-side state of one collection phase.
+
+    Owns the ledger frame (every phase and chunk event is appended here,
+    and nothing is appended when no ledger is open), the retry/split/
+    quarantine bookkeeping the inline and pool executors share, the
+    progress reporter, and the committed chunks.
     """
 
-    def __init__(self, sup: Optional[SupervisionPolicy],
-                 campaign: CampaignStats, board, label: str,
-                 save, journal: Optional[RunJournal] = None) -> None:
-        self.sup = sup or SupervisionPolicy()
-        self.supervised = sup is not None
-        self.campaign = campaign
-        self.board = board
-        self.label = label
-        self._save = save
-        self.journal = journal if journal is not None \
-            else RunJournal.disabled()
-        self.results: Dict[int, ChunkResult] = {}
+    def __init__(self, ctx: ExperimentContext, policy: CoalescingPolicy,
+                 num_samples: int, counts_only: bool,
+                 retain_kernel_results: bool) -> None:
+        self.ctx = ctx
+        self.policy = policy
+        self.num_samples = num_samples
+        self.counts_only = counts_only
+        self.shard = ctx.shard.validate() if ctx.shard is not None else None
+        self.store = ctx.checkpoint
+        if self.shard is not None and self.store is None:
+            raise ConfigurationError(
+                "sharded collection requires a checkpoint store "
+                "(rcoal shard always opens one)"
+            )
+        telemetry = ctx.telemetry
+        self.instrumented = telemetry is not None and telemetry.enabled
+        self.profiler = (telemetry.profiler if self.instrumented
+                         else SpanProfiler.disabled())
+        self.board = telemetry.board if self.instrumented else None
+        self.supervised = ctx.supervision is not None
+        self.sup = ctx.supervision or SupervisionPolicy()
+        self.campaign = (ctx.campaign if ctx.campaign is not None
+                         else CampaignStats())
+        self.job = _ChunkJob(
+            _worker_context(ctx), policy, num_samples, counts_only,
+            retain_kernel_results,
+            trace_capacity=(telemetry.tracer.capacity
+                            if self.instrumented else 0),
+            profile=self.profiler.enabled,
+            faults=(ctx.faults.bind(num_samples, ctx.root_seed)
+                    if ctx.faults is not None else None))
+        self.label = phase_label(ctx, policy, num_samples, counts_only,
+                                 retain_kernel_results)
+        # The open ledger this phase appends to, or None: an explicit
+        # ctx.journal wins, then the checkpoint store's.
+        journal = (ctx.journal if ctx.journal is not None
+                   else getattr(self.store, "journal", None))
+        self.journal: Optional[RunJournal] = (
+            journal if journal is not None and journal.enabled else None)
+        self._tags = ({"worker": self.shard.worker}
+                      if self.shard is not None else {})
+        self.reporter = ProgressReporter(
+            num_samples,
+            label=policy.describe() + (f" [{self.shard.worker}]"
+                                       if self.shard is not None else ""),
+            enabled=ctx.progress or env_flag("REPRO_PROGRESS"),
+            board=self.board)
+        self.chunks: List[ChunkResult] = []
         self.failed: Dict[int, str] = {}
 
-    def complete(self, indices: Tuple[int, ...], records,
-                 telemetry) -> None:
+    # -- ledger ---------------------------------------------------------------
+
+    def emit(self, kind: str, **fields) -> None:
+        if self.journal is not None:
+            self.journal.append(kind, phase=self.label, **fields,
+                                **self._tags)
+
+    def engine(self) -> str:
+        """The engine label the ledger records for this phase."""
+        ctx = self.job.ctx
+        if self.counts_only:
+            return ("batched" if self.job.faults is None and ctx.batched
+                    else "event")
+        return "batched_timing" if ctx.batched_timing else "event"
+
+    def dispatch(self, indices: Tuple[int, ...], attempt: int) -> None:
+        self.emit("chunk_dispatch", start=indices[0], end=indices[-1],
+                  samples=len(indices), attempt=attempt)
+
+    # -- commit ---------------------------------------------------------------
+
+    def complete(self, indices: Tuple[int, ...], records, telemetry,
+                 seconds: float) -> None:
+        """Journal a finished chunk and commit it to memory and, when the
+        phase has one, to the checkpoint store."""
+        self.emit("chunk_done", start=indices[0], end=indices[-1],
+                  samples=len(indices), seconds=round(seconds, 6))
         chunk = ChunkResult(tuple(indices), records, telemetry)
-        self.results[chunk.start] = chunk
-        self._save(chunk)
+        self.chunks.append(chunk)
+        if self.store is not None:
+            # Lease commits are duplicate-tolerant: a stolen lease's
+            # original owner may finish the same span late.
+            commit = (self.store.commit_chunk if self.shard is not None
+                      else self.store.save_chunk)
+            with self.profiler.span("checkpoint.save"):
+                commit(self.label, chunk)
+
+    # -- supervision ----------------------------------------------------------
 
     def handle_failure(self, pending: deque, indices: Tuple[int, ...],
                        attempt: int, exc: BaseException) -> float:
@@ -582,10 +510,9 @@ class _PhaseSupervisor:
             pending.append((indices, next_attempt))
             self.campaign.retries += 1
             _note_incident(self.board, "retry")
-            self.journal.append("chunk_retry", phase=self.label,
-                                start=indices[0], end=indices[-1],
-                                attempt=next_attempt,
-                                error=f"{type(exc).__name__}: {exc}")
+            self.emit("chunk_retry", start=indices[0], end=indices[-1],
+                      attempt=next_attempt,
+                      error=f"{type(exc).__name__}: {exc}")
             log.warning("retrying samples %d-%d of %s (attempt %d/%d): %s",
                         indices[0], indices[-1], self.label, next_attempt,
                         self.sup.max_attempts, exc)
@@ -596,9 +523,8 @@ class _PhaseSupervisor:
             pending.append((indices[mid:], 0))
             self.campaign.splits += 1
             _note_incident(self.board, "split")
-            self.journal.append("chunk_split", phase=self.label,
-                                start=indices[0], end=indices[-1],
-                                at=indices[mid])
+            self.emit("chunk_split", start=indices[0], end=indices[-1],
+                      at=indices[mid])
             log.warning("splitting failing chunk %d-%d of %s to isolate "
                         "the poison sample", indices[0], indices[-1],
                         self.label)
@@ -610,114 +536,229 @@ class _PhaseSupervisor:
             {"phase": self.label, "sample": index, "error": reason}
         )
         _note_incident(self.board, "quarantined")
-        self.journal.append("chunk_quarantine", phase=self.label,
-                            sample=index, error=reason)
+        self.emit("chunk_quarantine", sample=index, error=reason)
         log.error("quarantining sample %d of %s after %d attempts: %s",
                   index, self.label, self.sup.max_attempts, reason)
         return 0.0
 
+    # -- fold -----------------------------------------------------------------
 
-def _run_chunks_serial(supervisor: _PhaseSupervisor, pending: deque,
-                       worker_ctx, policy, num_samples, counts_only,
-                       retain_kernel_results, trace_capacity, faults,
-                       reporter, profile: bool = False) -> None:
-    """In-process work loop: the serial resilient path, also the
-    degraded-mode fallback when the pool keeps dying."""
-    journal = supervisor.journal
+    def fold(self) -> List[EncryptionRecord]:
+        """Records of every committed chunk, in sample order.
+
+        Chunks may overlap — a stolen lease committed twice, spans from
+        an earlier run with other boundaries — but every copy of a sample
+        is identical, so the first copy in chunk order wins. Telemetry
+        merges in the same order.
+        """
+        by_index: Dict[int, EncryptionRecord] = {}
+        for chunk in sorted(self.chunks, key=lambda chunk: chunk.start):
+            fresh = [(index, record) for index, record
+                     in zip(chunk.indices, chunk.records)
+                     if index not in by_index]
+            if not fresh:
+                continue
+            by_index.update(fresh)
+            if self.instrumented and chunk.telemetry is not None:
+                with self.profiler.span("runner.merge"):
+                    self.ctx.telemetry.merge(chunk.telemetry)
+        lost = [index for index in range(self.num_samples)
+                if index not in by_index and index not in self.failed]
+        if lost:
+            raise ExperimentError(
+                f"phase {self.label} ended with samples {lost[:8]} "
+                f"uncommitted — the campaign directory was modified "
+                f"underneath the workers"
+            )
+        return [by_index[index] for index in sorted(by_index)]
+
+
+def collect_records(
+    ctx: ExperimentContext,
+    policy: CoalescingPolicy,
+    num_samples: int,
+    counts_only: bool = False,
+    retain_kernel_results: bool = False,
+) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
+    """Run one collection phase (see the module docstring).
+
+    Returns the phase's victim server and its records in sample order.
+    With a checkpoint store, completed chunks persist as they finish, so
+    an interrupted campaign resumed with ``--resume`` re-simulates only
+    the missing samples and reproduces the uninterrupted output byte for
+    byte. Quarantined samples are *omitted* from the returned records and
+    reported on ``ctx.campaign`` / the progress board instead of aborting
+    the phase. A Ctrl-C flushes a partial-progress note to stderr and
+    re-raises; the CLI maps it to a distinct exit code.
+    """
+    phase = _Phase(ctx, policy, num_samples, counts_only,
+                   retain_kernel_results)
+    store = phase.store
+    if store is not None:
+        with phase.profiler.span("checkpoint.load"):
+            phase.chunks = store.load_chunks(phase.label)
+    completed = {index for chunk in phase.chunks for index in chunk.indices}
+    restored = len(completed)
+    missing = [i for i in range(num_samples) if i not in completed]
+    jobs = min(ctx.effective_jobs(), max(1, len(missing)))
+    if phase.shard is not None:
+        jobs, mode = 1, "lease"
+    else:
+        mode = "pool" if jobs > 1 else "inline"
+    engine = phase.engine()
+    phase.emit("phase_start", policy=policy.describe(), samples=num_samples,
+               restored=restored, jobs=jobs, mode=mode, engine=engine,
+               counts_only=counts_only, supervised=phase.supervised)
+    if counts_only:
+        phase.emit("engine_select", engine=engine)
+    started = time.perf_counter()
+    if restored:
+        phase.campaign.resumed_samples += restored
+        phase.emit("checkpoint_restore", restored=restored,
+                   chunks=len(phase.chunks))
+        print(f"[resume: {restored}/{num_samples} samples of "
+              f"{policy.describe()} restored from {store.describe()}]",
+              file=sys.stderr)
+        phase.reporter.update(restored)
+    log.info("collecting %d samples under %s%s (%s, %d checkpointed)",
+             num_samples, policy.describe(),
+             " (counts only)" if counts_only else "", mode, restored)
+
+    server = None
+    try:
+        if mode == "lease":
+            run_leases(phase)
+        elif mode == "pool":
+            size = math.ceil(len(missing)
+                             / (jobs * phase.sup.chunks_per_worker))
+            _run_pool(phase, _plan(missing, size), jobs)
+        elif phase.supervised or store is not None:
+            _run_inline(phase, _plan(missing, phase.sup.serial_chunk_samples))
+        elif missing:
+            # The in-memory route: one chunk, simulated straight into the
+            # caller's telemetry on the server this phase returns.
+            server = build_server(ctx, policy, counts_only=counts_only,
+                                  retain_kernel_results=retain_kernel_results,
+                                  telemetry=ctx.telemetry)
+            _run_inline(phase, _plan(missing, len(missing)), server=server)
+    except KeyboardInterrupt:
+        if mode != "lease":  # the lease executor explains its own exit
+            done = sum(len(chunk.indices) for chunk in phase.chunks)
+            hint = (f"resume with --resume {store.describe()}"
+                    if store is not None else
+                    "partial results discarded — use --resume to make "
+                    "campaigns restartable")
+            print(f"\n[interrupted: {done}/{num_samples} samples of "
+                  f"{policy.describe()} done; {hint}]", file=sys.stderr)
+        raise
+    phase.reporter.finish()
+
+    if phase.failed:
+        if store is not None:
+            store.record_failed_samples(phase.campaign.failed_samples)
+        print(f"[quarantined {len(phase.failed)} sample(s) under "
+              f"{policy.describe()}: {sorted(phase.failed)}]",
+              file=sys.stderr)
+    if mode == "lease":
+        # Peers committed the chunks this worker did not simulate.
+        phase.chunks = store.load_chunks(phase.label)
+    records = phase.fold()
+    phase.emit("phase_finish", samples=num_samples, completed=len(records),
+               restored=restored, quarantined=len(phase.failed),
+               seconds=round(time.perf_counter() - started, 6))
+    if server is None:
+        server = build_server(ctx, policy, counts_only=counts_only,
+                              retain_kernel_results=retain_kernel_results,
+                              telemetry=ctx.telemetry)
+    return server, records
+
+
+def _plan(missing: Sequence[int], size: int) -> deque:
+    """Pending work items ``(indices, attempt)`` for the missing samples."""
+    return deque((chunk, 0) for chunk in _contiguous_chunks(missing, size))
+
+
+# ---------------------------------------------------------------------------
+# Executors. The lease executor lives in repro.experiments.shard.
+# ---------------------------------------------------------------------------
+
+
+def _run_inline(phase: _Phase, pending: deque,
+                server: Optional[EncryptionServer] = None) -> None:
+    """In-process work loop: the inline executor, also the pool's
+    degraded-mode fallback when the pool keeps dying. ``hang``/``exit``
+    faults surface here as plain raises."""
+    telemetry = phase.ctx.telemetry if server is not None else None
     while pending:
         indices, attempt = pending.popleft()
-        journal.append("chunk_dispatch", phase=supervisor.label,
-                       start=indices[0], end=indices[-1],
-                       samples=len(indices), attempt=attempt)
-        chunk_started = time.perf_counter()
+        phase.dispatch(indices, attempt)
         try:
-            records, telemetry = _simulate_chunk(
-                worker_ctx, policy, num_samples, indices, counts_only,
-                retain_kernel_results, trace_capacity, faults, attempt,
-                reporter, in_worker=False, profile=profile)
-        except KeyboardInterrupt:
-            raise
+            records, chunk_telemetry, seconds = _run_chunk(
+                phase.job, indices, attempt, progress=phase.reporter,
+                in_worker=False, spans="serial", server=server,
+                telemetry=telemetry)
         except Exception as exc:
-            supervisor.campaign.crashes += 1
-            _note_incident(supervisor.board, "crash")
-            delay = supervisor.handle_failure(pending, indices, attempt,
-                                              exc)
+            phase.campaign.crashes += 1
+            _note_incident(phase.board, "crash")
+            delay = phase.handle_failure(pending, indices, attempt, exc)
             if delay > 0:
                 time.sleep(delay)
             continue
-        journal.append("chunk_done", phase=supervisor.label,
-                       start=indices[0], end=indices[-1],
-                       samples=len(indices),
-                       seconds=round(
-                           time.perf_counter() - chunk_started, 6))
-        supervisor.complete(indices, records, telemetry)
+        phase.complete(indices, records, chunk_telemetry, seconds)
 
 
-def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
-                     worker_ctx, policy, num_samples, counts_only,
-                     retain_kernel_results, trace_capacity, faults,
-                     jobs: int, queue, reporter,
-                     profiler: Optional[SpanProfiler] = None) -> None:
+def _run_pool(phase: _Phase, pending: deque, jobs: int) -> None:
     """Pool work loop with deadlines, retries, and pool resurrection.
 
-    Work items are submitted in rounds (everything currently pending);
-    results are collected in submission order so completion bookkeeping
-    stays deterministic. A timeout or a died worker kills the whole pool —
-    a :class:`ProcessPoolExecutor` cannot reap a single hung process —
-    and completed sibling futures keep their results while unfinished
-    siblings are rescheduled at their current attempt. After
-    ``max_pool_restarts`` rebuilds the phase degrades to in-process
-    serial execution, where ``hang``/``exit`` faults surface as plain
-    raises and the retry/quarantine machinery still applies.
+    Work items are submitted in rounds (everything currently pending) to
+    the warm shared pool; results are collected in submission order so
+    completion bookkeeping stays deterministic, and progress advances as
+    each chunk's result arrives — workers share no queue or lock with
+    each other, so a worker that dies mid-write can never wedge a
+    survivor. A timeout or a died worker kills the whole pool — a
+    :class:`ProcessPoolExecutor` cannot reap a single hung process — and
+    completed sibling futures keep their results while unfinished
+    siblings are rescheduled at their next attempt. After
+    ``max_pool_restarts`` rebuilds the phase degrades to the inline
+    executor, where the retry/quarantine machinery still applies.
+    Without supervision there are no deadlines and a worker death raises
+    :class:`WorkerCrashError`.
     """
-    sup = supervisor.sup
-    campaign = supervisor.campaign
-    journal = supervisor.journal
-    deadline = sup.chunk_deadline if supervisor.supervised else None
-    profiler = profiler if profiler is not None else SpanProfiler.disabled()
-    pool: Optional[ProcessPoolExecutor] = None
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
+    sup = phase.sup
+    campaign = phase.campaign
+    deadline = sup.chunk_deadline if phase.supervised else None
+    profiler = phase.profiler
+    pool = None
     restarts = 0
     try:
         while pending:
             if restarts > sup.max_pool_restarts:
                 campaign.degraded_serial = True
-                _note_incident(supervisor.board, "degraded-serial")
-                journal.append("degraded_serial", phase=supervisor.label,
-                               restarts=restarts)
+                _note_incident(phase.board, "degraded-serial")
+                phase.emit("degraded_serial", restarts=restarts)
                 log.warning("%s: pool died %d times; degrading to "
                             "in-process serial execution",
-                            supervisor.label, restarts)
-                if pool is not None:
-                    _abort_pool(pool)
-                    pool = None
-                _run_chunks_serial(supervisor, pending, worker_ctx, policy,
-                                   num_samples, counts_only,
-                                   retain_kernel_results, trace_capacity,
-                                   faults, reporter,
-                                   profile=profiler.enabled)
+                            phase.label, restarts)
+                _run_inline(phase, pending)
                 return
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=jobs,
-                                           initializer=_init_worker,
-                                           initargs=(queue,))
+                pool = _shared_pool(jobs)
             round_items = list(pending)
             pending.clear()
+            # "runner.submit" is payload pickling + task hand-off; the
+            # first "runner.wait" additionally covers pool spin-up
+            # (worker spawn + imports) the first time a pool is used.
             with profiler.span("runner.submit"):
                 futures = [
-                    (pool.submit(_collect_chunk_supervised,
-                                 (worker_ctx, policy, num_samples,
-                                  list(indices), counts_only,
-                                  retain_kernel_results, trace_capacity,
-                                  faults, attempt, profiler.enabled)),
+                    (pool.submit(_run_chunk, phase.job, indices, attempt),
                      indices, attempt)
                     for indices, attempt in round_items
                 ]
-            if journal.enabled:
-                for indices, attempt in round_items:
-                    journal.append("chunk_dispatch", phase=supervisor.label,
-                                   start=indices[0], end=indices[-1],
-                                   samples=len(indices), attempt=attempt)
-            round_started = time.perf_counter()
+            for indices, attempt in round_items:
+                phase.dispatch(indices, attempt)
             pool_dead = False
             max_delay = 0.0
             for future, indices, attempt in futures:
@@ -729,48 +770,31 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                     # fault killed the pool stops refiring a transient
                     # fault, and innocents merely carry a higher attempt
                     # number (harmless unless they actually fail).
-                    salvaged = False
-                    if future.done() and not future.cancelled():
-                        try:
-                            records, telemetry = future.result(timeout=0)
-                            supervisor.complete(indices, records,
-                                                telemetry)
-                            salvaged = True
-                        except Exception:
-                            pass
-                    if salvaged:
-                        journal.append(
-                            "chunk_done", phase=supervisor.label,
-                            start=indices[0], end=indices[-1],
-                            samples=len(indices),
-                            seconds=round(
-                                time.perf_counter() - round_started, 6))
+                    if (future.done() and not future.cancelled()
+                            and future.exception() is None):
+                        phase.complete(indices, *future.result())
+                        phase.reporter.update(len(indices))
                     else:
                         future.cancel()
                         pending.append((indices, attempt + 1))
                     continue
                 try:
                     with profiler.span("runner.wait"):
-                        records, telemetry = future.result(timeout=deadline)
-                    supervisor.complete(indices, records, telemetry)
-                    journal.append(
-                        "chunk_done", phase=supervisor.label,
-                        start=indices[0], end=indices[-1],
-                        samples=len(indices),
-                        seconds=round(
-                            time.perf_counter() - round_started, 6))
+                        result = future.result(timeout=deadline)
+                    phase.complete(indices, *result)
+                    phase.reporter.update(len(indices))
                 except FuturesTimeoutError:
                     campaign.timeouts += 1
                     campaign.pool_restarts += 1
-                    _note_incident(supervisor.board, "timeout")
-                    journal.append("pool_restart", phase=supervisor.label,
-                                   reason="timeout", start=indices[0],
-                                   end=indices[-1])
+                    _note_incident(phase.board, "timeout")
+                    phase.emit("pool_restart", reason="timeout",
+                               start=indices[0], end=indices[-1])
                     log.warning("samples %d-%d of %s exceeded the %.1fs "
                                 "chunk deadline; reaping the pool",
-                                indices[0], indices[-1], supervisor.label,
+                                indices[0], indices[-1], phase.label,
                                 deadline)
                     _abort_pool(pool)
+                    _discard_shared_pool()
                     pool = None
                     pool_dead = True
                     restarts += 1
@@ -784,16 +808,16 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                     max_delay = max(max_delay, sup.backoff(attempt + 1))
                 except BrokenProcessPool as exc:
                     campaign.crashes += 1
-                    _note_incident(supervisor.board, "worker-killed")
-                    journal.append("pool_restart", phase=supervisor.label,
-                                   reason="worker-died", start=indices[0],
-                                   end=indices[-1])
+                    _note_incident(phase.board, "worker-killed")
+                    phase.emit("pool_restart", reason="worker-died",
+                               start=indices[0], end=indices[-1])
                     log.warning("worker process died while running samples "
                                 "%d-%d of %s", indices[0], indices[-1],
-                                supervisor.label)
-                    pool = None  # the executor is already broken
+                                phase.label)
+                    _discard_shared_pool()  # the executor is already broken
+                    pool = None
                     pool_dead = True
-                    if not supervisor.supervised:
+                    if not phase.supervised:
                         raise WorkerCrashError(
                             f"worker process died while running samples "
                             f"{indices[0]}-{indices[-1]} ({exc}); rerun "
@@ -805,176 +829,18 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                     pending.append((indices, attempt + 1))
                     campaign.retries += 1
                     max_delay = max(max_delay, sup.backoff(attempt + 1))
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
                     campaign.crashes += 1
-                    _note_incident(supervisor.board, "crash")
-                    max_delay = max(max_delay, supervisor.handle_failure(
+                    _note_incident(phase.board, "crash")
+                    max_delay = max(max_delay, phase.handle_failure(
                         pending, indices, attempt, exc))
             if pending and max_delay > 0:
                 time.sleep(max_delay)
     except KeyboardInterrupt:
         if pool is not None:
             _abort_pool(pool)
-            pool = None
+            _discard_shared_pool()
         raise
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-def collect_records_resilient(
-    ctx: ExperimentContext,
-    policy: CoalescingPolicy,
-    num_samples: int,
-    counts_only: bool = False,
-    retain_kernel_results: bool = False,
-) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
-    """Checkpointed and/or supervised drop-in for ``collect_records``.
-
-    Engaged when the context carries a checkpoint store, a supervision
-    policy, or a fault plan. Completed sample spans are persisted as they
-    finish (atomic pickle chunks keyed by the campaign fingerprint), so an
-    interrupted campaign resumed with ``--resume`` re-simulates only the
-    missing samples and reproduces the uninterrupted output byte for byte
-    — chunk boundaries don't matter because telemetry merge telescopes in
-    sample order. Quarantined samples are *omitted* from the returned
-    records and reported on ``ctx.campaign`` / the progress board instead
-    of aborting the phase.
-    """
-    sup = ctx.supervision
-    campaign = ctx.campaign if ctx.campaign is not None else CampaignStats()
-    store = ctx.checkpoint
-    faults = (ctx.faults.bind(num_samples, ctx.root_seed)
-              if ctx.faults is not None else None)
-    telemetry = ctx.telemetry
-    instrumented = telemetry is not None and telemetry.enabled
-    trace_capacity = telemetry.tracer.capacity if instrumented else 0
-    board = telemetry.board if instrumented else None
-    profiler = (telemetry.profiler if instrumented
-                else SpanProfiler.disabled())
-    worker_ctx = _worker_context(ctx)
-    label = phase_label(ctx, policy, num_samples, counts_only,
-                        retain_kernel_results)
-    journal = _phase_journal(ctx)
-
-    with profiler.span("checkpoint.load"):
-        stored = store.load_chunks(label) if store is not None else []
-    completed = {index for chunk in stored for index in chunk.indices}
-    missing = [i for i in range(num_samples) if i not in completed]
-    jobs = min(ctx.effective_jobs(), max(1, len(missing)))
-    if counts_only:
-        engine = ("batched" if faults is None and batched_mode(ctx.batched)
-                  else "event")
-    else:
-        engine = ("batched_timing"
-                  if batched_timing_mode(ctx.batched_timing) else "event")
-    journal.append("phase_start", phase=label, policy=policy.describe(),
-                   samples=num_samples, restored=len(completed),
-                   jobs=jobs, mode="resilient", engine=engine,
-                   counts_only=counts_only, supervised=sup is not None)
-    if counts_only:
-        journal.append("engine_select", phase=label, engine=engine)
-    phase_started = time.perf_counter()
-    if stored:
-        campaign.resumed_samples += num_samples - len(missing)
-        journal.append("checkpoint_restore", phase=label,
-                       restored=len(completed), chunks=len(stored))
-        print(f"[resume: {num_samples - len(missing)}/{num_samples} "
-              f"samples of {policy.describe()} restored from "
-              f"{store.describe()}]", file=sys.stderr)
-
-    if store is not None:
-        def save(chunk):
-            with profiler.span("checkpoint.save"):
-                store.save_chunk(label, chunk)
-    else:
-        def save(chunk):
-            return None
-    supervisor = _PhaseSupervisor(sup, campaign, board, label, save,
-                                  journal=journal)
-    for chunk in stored:
-        supervisor.results[chunk.start] = chunk
-
-    log.info("collecting %d samples under %s (%d checkpointed, "
-             "supervised=%s)", num_samples, policy.describe(),
-             len(completed), sup is not None)
-
-    if missing:
-        jobs = min(ctx.effective_jobs(), len(missing))
-        policy_opts = supervisor.sup
-        if jobs > 1:
-            target = math.ceil(len(missing)
-                               / (jobs * policy_opts.chunks_per_worker))
-        else:
-            target = policy_opts.serial_chunk_samples
-        pending = deque((chunk, 0)
-                        for chunk in _contiguous_chunks(missing, target))
-        progress_enabled = ctx.progress or env_flag("REPRO_PROGRESS")
-        try:
-            if jobs > 1:
-                queue = multiprocessing.get_context().Queue() \
-                    if progress_enabled or board is not None else None
-                with ProgressAggregator(
-                    num_samples, queue, label=policy.describe(),
-                    enabled=progress_enabled, board=board,
-                ) as aggregator:
-                    if completed:
-                        aggregator.reporter.update(len(completed))
-                    _run_chunks_pool(supervisor, pending, worker_ctx,
-                                     policy, num_samples, counts_only,
-                                     retain_kernel_results, trace_capacity,
-                                     faults, jobs, queue,
-                                     aggregator.reporter,
-                                     profiler=profiler)
-            else:
-                reporter = ProgressReporter(
-                    num_samples, label=policy.describe(),
-                    enabled=progress_enabled, board=board)
-                if completed:
-                    reporter.update(len(completed))
-                _run_chunks_serial(supervisor, pending, worker_ctx, policy,
-                                   num_samples, counts_only,
-                                   retain_kernel_results, trace_capacity,
-                                   faults, reporter,
-                                   profile=profiler.enabled)
-                reporter.finish()
-        except KeyboardInterrupt:
-            done = sum(len(chunk.indices)
-                       for chunk in supervisor.results.values())
-            note = (f"\n[interrupted: {done}/{num_samples} samples of "
-                    f"{policy.describe()} done")
-            if store is not None:
-                note += f"; resume with --resume {store.describe()}"
-            print(note + "]", file=sys.stderr)
-            raise
-
-    if supervisor.failed:
-        if store is not None:
-            store.record_failed_samples(campaign.failed_samples)
-        print(f"[quarantined {len(supervisor.failed)} sample(s) under "
-              f"{policy.describe()}: "
-              f"{sorted(supervisor.failed)}]", file=sys.stderr)
-
-    # Fold everything — restored and fresh — back in sample order.
-    records: List[EncryptionRecord] = []
-    for start in sorted(supervisor.results):
-        chunk = supervisor.results[start]
-        records.extend(chunk.records)
-        if instrumented:
-            with profiler.span("runner.merge"):
-                telemetry.merge(chunk.telemetry)
-
-    journal.append(
-        "phase_finish", phase=label, samples=num_samples,
-        completed=len(records), restored=len(completed),
-        quarantined=len(supervisor.failed),
-        seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    return server, records
 
 
 def _run_one_experiment(payload):
@@ -1022,6 +888,8 @@ def run_experiments_parallel(
     avoid nested pools; with ``checkpoint_dir`` each worker opens its own
     per-experiment checkpoint store under ``<dir>/<experiment_id>``.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     worker_ctx = ctx.with_(telemetry=None, progress=False, jobs=1,
                            checkpoint=None, campaign=None, journal=None)
     with ProcessPoolExecutor(

@@ -66,25 +66,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.checkpoint import (
-    ChunkResult,
-    phase_label,
-    shard_spans,
-)
+from repro.errors import ConfigurationError
+from repro.experiments.checkpoint import shard_spans
 from repro.faults import EXIT_STATUS, InjectedFault, TornWriteError, \
     active_plan
 from repro.telemetry import ProgressReporter, get_logger
 from repro.telemetry.journal import RunJournal
-from repro.utils import env_flag
 
 __all__ = [
     "Lease",
     "LeaseManager",
     "ShardPolicy",
-    "collect_records_sharded",
     "lease_name",
     "parse_lease",
+    "run_leases",
     "LEASE_NAME",
 ]
 
@@ -104,8 +99,9 @@ class ShardPolicy:
     """Knobs of one shard worker (the ``rcoal shard`` flags).
 
     Attached to an :class:`~repro.experiments.base.ExperimentContext`;
-    when set, :func:`~repro.experiments.base.collect_records` routes
-    every collection phase through :func:`collect_records_sharded`.
+    when set, :func:`~repro.experiments.base.collect_records` drains
+    every collection phase through the lease executor,
+    :func:`run_leases`.
     """
 
     #: This worker's identity, recorded in lease files and ledger events.
@@ -460,75 +456,35 @@ def _act_out_lease_fault(manager: LeaseManager, lease: Lease) -> None:
     )
 
 
-def collect_records_sharded(ctx, policy, num_samples: int,
-                            counts_only: bool = False,
-                            retain_kernel_results: bool = False):
-    """One shard worker's side of a collection phase.
+def run_leases(phase) -> None:
+    """The lease executor: one shard worker's side of a collection phase.
 
     Drains the phase's fixed-boundary chunks cooperatively: claim,
-    simulate through the same :func:`_simulate_chunk` every other path
-    uses, commit duplicate-tolerantly, release; back off (capped
-    exponential, campaign-RNG jitter) when everything left is validly
-    leased by live peers; reclaim what the dead leave behind. Returns
-    exactly what the serial path returns — the fold dedupes by sample
-    index, so overlapping chunks (steals, pre-shard partial runs) can
-    never double-count.
+    simulate through the phase executor's one chunk worker, commit
+    duplicate-tolerantly, release; back off (capped exponential,
+    campaign-RNG jitter) when everything left is validly leased by live
+    peers; reclaim what the dead leave behind. The phase frame around it
+    (:func:`repro.experiments.runner.collect_records`) then folds every
+    committed chunk, peers' included, by sample index — so overlapping
+    chunks (steals, pre-shard partial runs) can never double-count.
     """
-    from repro.experiments.base import build_server
-    from repro.experiments.runner import (
-        _phase_journal,
-        _simulate_chunk,
-        _worker_context,
-    )
+    from repro.experiments import runner
 
-    shard: ShardPolicy = ctx.shard.validate()
-    store = ctx.checkpoint
-    if store is None:
-        raise ConfigurationError(
-            "sharded collection requires a checkpoint store "
-            "(rcoal shard always opens one)"
-        )
-    label = phase_label(ctx, policy, num_samples, counts_only,
-                        retain_kernel_results)
-    journal = _phase_journal(ctx)
-    worker_ctx = _worker_context(ctx)
-    faults = (ctx.faults.bind(num_samples, ctx.root_seed)
-              if ctx.faults is not None else None)
-    spans = shard_spans(num_samples, shard.chunk_samples)
-    phase_dir = store.phase_dir(label, make=True)
-    manager = LeaseManager(phase_dir, shard, journal, phase=label)
-    jitter = ctx.stream(f"shard#{shard.worker}")
-    from repro.utils import batched_mode, batched_timing_mode
-    if counts_only:
-        engine = ("batched" if faults is None and batched_mode(ctx.batched)
-                  else "event")
-    else:
-        engine = ("batched_timing"
-                  if batched_timing_mode(ctx.batched_timing) else "event")
-
-    restored = len(_covered(store.completed_spans(label)))
-    journal.append("phase_start", phase=label, policy=policy.describe(),
-                   samples=num_samples, restored=restored, jobs=1,
-                   mode="shard", engine=engine, counts_only=counts_only,
-                   worker=shard.worker)
-    if counts_only:
-        journal.append("engine_select", phase=label, engine=engine)
-    if restored:
-        print(f"[resume: {min(restored, num_samples)}/{num_samples} "
-              f"samples of {policy.describe()} already committed in "
-              f"{store.describe()}]", file=sys.stderr)
-    phase_started = time.perf_counter()
-    reporter = ProgressReporter(
-        num_samples, label=f"{policy.describe()} [{shard.worker}]",
-        enabled=ctx.progress or env_flag("REPRO_PROGRESS"))
-
+    shard: ShardPolicy = phase.shard
+    store = phase.store
+    label = phase.label
+    spans = shard_spans(phase.num_samples, shard.chunk_samples)
+    manager = LeaseManager(store.phase_dir(label, make=True), shard,
+                           phase.journal or RunJournal.disabled(),
+                           phase=label)
+    jitter = phase.ctx.stream(f"shard#{shard.worker}")
     idle_rounds = 0
     while True:
         done = _covered(store.completed_spans(label))
         todo = [(start, end) for start, end in spans
                 if not set(range(start, end + 1)) <= done]
         if not todo:
-            break
+            return
         progress = False
         for start, end in todo:
             if store.has_chunk(label, start, end):
@@ -545,37 +501,26 @@ def collect_records_sharded(ctx, policy, num_samples: int,
                 progress = True
                 continue
             indices = tuple(range(start, end + 1))
-            journal.append("chunk_dispatch", phase=label, start=start,
-                           end=end, samples=len(indices), attempt=0,
-                           worker=shard.worker)
+            phase.dispatch(indices, 0)
             heartbeat = _HeartbeatProgress(manager, lease,
-                                           shard.heartbeat(), reporter)
-            chunk_started = time.perf_counter()
+                                           shard.heartbeat(), phase.reporter)
             try:
-                records, _ = _simulate_chunk(
-                    worker_ctx, policy, num_samples, indices, counts_only,
-                    retain_kernel_results, trace_capacity=0, faults=faults,
-                    attempt=0, progress=heartbeat, in_worker=True)
+                result = runner._run_chunk(phase.job, indices,
+                                           progress=heartbeat)
             except KeyboardInterrupt:
-                # Satellite contract: an interrupted worker releases its
-                # lease *before* exiting 130 — peers must never have to
-                # wait out the deadline for a clean Ctrl-C.
+                # An interrupted worker releases its lease *before*
+                # exiting 130 — peers must never have to wait out the
+                # deadline for a clean Ctrl-C.
                 manager.release(lease, reason="interrupted")
                 print(f"\n[interrupted: released lease {start}-{end} of "
-                      f"{policy.describe()}; peers can claim it "
+                      f"{phase.policy.describe()}; peers can claim it "
                       f"immediately]", file=sys.stderr)
                 raise
             except BaseException as exc:
                 manager.release(lease, reason=f"error: "
                                 f"{type(exc).__name__}")
                 raise
-            committed = store.commit_chunk(
-                label, ChunkResult(indices, records, None))
-            journal.append(
-                "chunk_done", phase=label, start=start, end=end,
-                samples=len(indices), attempt=0, worker=shard.worker,
-                committed=committed,
-                seconds=round(time.perf_counter() - chunk_started, 6))
+            phase.complete(indices, *result)
             manager.release(lease)
             progress = True
         if progress:
@@ -589,33 +534,6 @@ def collect_records_sharded(ctx, policy, num_samples: int,
                     shard.backoff_base * (2 ** (idle_rounds - 1)))
         delay *= 0.5 + float(jitter.generator.random())
         log.info("all remaining chunks of %s leased by peers; backing "
-                 "off %.3fs (round %d)", policy.describe(), delay,
+                 "off %.3fs (round %d)", phase.policy.describe(), delay,
                  idle_rounds)
         time.sleep(delay)
-    reporter.finish()
-
-    # Fold by sample index: chunks may overlap (a steal's double commit,
-    # spans from a pre-shard run) but every copy of a sample is
-    # identical, so first-wins in sorted-chunk order is deterministic.
-    by_index = {}
-    for chunk in store.load_chunks(label):
-        for index, record in zip(chunk.indices, chunk.records):
-            by_index.setdefault(index, record)
-    missing = [i for i in range(num_samples) if i not in by_index]
-    if missing:
-        raise ExperimentError(
-            f"sharded phase {label} ended with samples {missing[:8]} "
-            f"uncommitted — the campaign directory was modified "
-            f"underneath the workers"
-        )
-    records = [by_index[index] for index in range(num_samples)]
-
-    journal.append(
-        "phase_finish", phase=label, samples=num_samples,
-        completed=len(records), restored=restored, quarantined=0,
-        worker=shard.worker,
-        seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=ctx.telemetry)
-    return server, records

@@ -157,7 +157,7 @@ class FaultPlan:
 
         ``in_worker`` distinguishes a supervised worker process (where
         ``hang`` really blocks and ``exit`` really kills) from in-process
-        execution (the serial path and the degraded-to-serial fallback),
+        execution (the inline executor and the degraded-to-serial fallback),
         where both are translated to an immediate :class:`InjectedFault` —
         an in-process hang would wedge the supervisor itself.
         """

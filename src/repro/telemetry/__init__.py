@@ -32,12 +32,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     stable_json,
 )
-from repro.telemetry.progress import (
-    ProgressAggregator,
-    ProgressBoard,
-    ProgressReporter,
-    QueueProgress,
-)
+from repro.telemetry.progress import ProgressBoard, ProgressReporter
 from repro.telemetry.profiler import PID_WALL, SpanProfiler
 from repro.telemetry.serve import TelemetryServer
 from repro.telemetry.tracer import (
@@ -63,9 +58,7 @@ __all__ = [
     "PID_WALL",
     "SpanProfiler",
     "ProgressReporter",
-    "ProgressAggregator",
     "ProgressBoard",
-    "QueueProgress",
     "RunJournal",
     "events_since",
     "last_event",

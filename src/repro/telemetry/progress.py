@@ -8,12 +8,10 @@ stays negligible. Disabled reporters are no-ops, so the call sites in
 :mod:`repro.experiments.base` cost one attribute check when progress
 reporting is off (the default; tests and pipelines see clean streams).
 
-When the parallel runner fans samples out across worker processes, each
-worker writing its own status line would interleave garbage on stderr.
-Instead the workers put per-sample increments on a queue via
-:class:`QueueProgress`, and a single :class:`ProgressAggregator` in the
-parent drains that queue on a daemon thread into one
-:class:`ProgressReporter` — one line, global ETA.
+Only the parent process reports: when the phase executor fans samples
+out across worker processes, each chunk's sample count rides back with
+its result and advances the one parent-side reporter — one line, global
+ETA, and no queue or lock shared across processes.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ import threading
 import time
 from typing import Optional, TextIO
 
-__all__ = ["ProgressReporter", "QueueProgress", "ProgressAggregator",
-           "ProgressBoard"]
+__all__ = ["ProgressReporter", "ProgressBoard"]
 
 
 def _format_seconds(seconds: float) -> str:
@@ -76,7 +73,7 @@ class ProgressBoard:
     def incident(self, kind: str, amount: int = 1) -> None:
         """Count one supervision incident (retry, timeout, quarantine...).
 
-        The resilient runner reports here so a ``--serve`` dashboard shows
+        The phase executor reports here so a ``--serve`` dashboard shows
         campaign health live; ``/progress`` and ``/health`` surface the
         counters.
         """
@@ -172,72 +169,3 @@ class ProgressReporter:
         self._stream.write(f"\r{line}\x1b[K")
         self._stream.flush()
         self._wrote_any = True
-
-
-class QueueProgress:
-    """Worker-side progress sink: puts increments on a shared queue.
-
-    Mirrors the :class:`ProgressReporter` ``update``/``finish`` surface so
-    worker code is agnostic about whether it reports locally or fans in to
-    a parent :class:`ProgressAggregator`. A ``None`` queue disables it.
-    """
-
-    def __init__(self, queue=None):
-        self._queue = queue
-        self.enabled = queue is not None
-
-    def update(self, amount: int = 1) -> None:
-        if self._queue is not None:
-            self._queue.put(amount)
-
-    def finish(self) -> None:  # parity with ProgressReporter
-        pass
-
-
-class ProgressAggregator:
-    """Parent-side fan-in for multi-process progress reporting.
-
-    Drains worker increments from a queue on a daemon thread and repaints
-    one :class:`ProgressReporter` line, so N workers produce exactly the
-    same single status line a serial run would. Use as a context manager::
-
-        with ProgressAggregator(total, queue, label="rss M=8") as agg:
-            ... submit work; workers put increments on `queue` ...
-        # on exit: drains remaining increments, prints the final line
-
-    A ``None`` queue (progress disabled) makes every method a no-op.
-    """
-
-    def __init__(self, total: int, queue, label: str = "",
-                 stream: Optional[TextIO] = None, enabled: bool = True,
-                 board: Optional[ProgressBoard] = None):
-        self.reporter = ProgressReporter(total, label=label, stream=stream,
-                                         enabled=enabled and queue is not None,
-                                         board=board)
-        self._queue = queue
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "ProgressAggregator":
-        if self._queue is not None and (self.reporter.enabled
-                                        or self.reporter.board is not None):
-            self._thread = threading.Thread(target=self._drain, daemon=True)
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            self.reporter.update(item)
-
-    def stop(self) -> None:
-        """Stop draining (workers are done) and print the final state."""
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join()
-            self._thread = None
-            self.reporter.finish()

@@ -1,6 +1,9 @@
 """Tests for the samples-to-success estimator (Equation 4)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,22 @@ class TestZQuantile:
     def test_rejects_out_of_range(self):
         with pytest.raises(AnalysisError):
             z_quantile(1.0)
+
+    def test_paper_alpha_is_pinned_exactly(self):
+        # Every experiment and example runs at alpha = 0.99, so the
+        # Eq-4 sample counts they print rest on this exact double.
+        assert z_quantile(0.99) == 2.3263478740408408
+
+    def test_cli_import_does_not_pull_in_scipy(self):
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, repro.cli; "
+                 "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestApproximation:

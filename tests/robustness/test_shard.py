@@ -244,13 +244,13 @@ class TestShardedCollection:
 
         chunk_path = store_a.phase_dir(label) / chunk_name(0, SAMPLES - 1)
         before = chunk_path.read_bytes()
-        from repro.experiments.runner import _simulate_chunk, \
+        from repro.experiments.runner import _ChunkJob, _run_chunk, \
             _worker_context
         from repro.telemetry import ProgressReporter
-        records_a, _ = _simulate_chunk(
-            _worker_context(ctx_a), policy, SAMPLES,
-            tuple(range(SAMPLES)), True, False, trace_capacity=0,
-            faults=None, attempt=0,
+        records_a, _, _ = _run_chunk(
+            _ChunkJob(_worker_context(ctx_a), policy, SAMPLES, True,
+                      False),
+            tuple(range(SAMPLES)), attempt=0,
             progress=ProgressReporter(SAMPLES, label="late",
                                       enabled=False),
             in_worker=True)
@@ -292,7 +292,7 @@ class TestShardedCollection:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runner_mod, "_simulate_chunk", interrupted)
+        monkeypatch.setattr(runner_mod, "_run_chunk", interrupted)
         ctx = _ctx(shard=ShardPolicy("w1", chunk_samples=SAMPLES))
         ctx = ctx.with_(checkpoint=_store(tmp_path, ctx))
         with pytest.raises(KeyboardInterrupt):

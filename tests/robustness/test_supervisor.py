@@ -1,10 +1,10 @@
 """Worker supervision semantics, exercised through the in-process path.
 
-These tests drive :func:`collect_records_resilient` with deterministic
-fault plans and zero backoff — no pools, no sleeps, no wall-clock — so
-they pin the retry/split/quarantine state machine precisely. The pool
-variants of the same behaviors live in ``test_resume_identity.py`` and
-the CI chaos job.
+These tests drive the inline executor of :func:`collect_records` with
+deterministic fault plans and zero backoff — no pools, no sleeps, no
+wall-clock — so they pin the retry/split/quarantine state machine
+precisely. The pool variants of the same behaviors live in
+``test_resume_identity.py`` and the CI chaos job.
 """
 
 import pytest
