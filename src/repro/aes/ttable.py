@@ -15,10 +15,9 @@ with the attack's Equation 3 inversion (``t_j = InvS[c_j ^ k_j]``).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.aes.cipher import BLOCK_BYTES
 from repro.aes.key_schedule import NUM_ROUNDS, expand_key
@@ -75,10 +74,10 @@ class EncryptionTrace:
 # Traces depend only on (key, plaintext) — never on the coalescing policy —
 # so experiments that encrypt the same plaintext batch under many policies
 # share one trace computation. LRU-bounded; traces are immutable and safe to
-# share. Size override: REPRO_TRACE_CACHE (entries; 0 disables).
+# share.
 _TRACE_CACHE: "OrderedDict[Tuple[bytes, bytes], EncryptionTrace]" = \
     OrderedDict()
-_TRACE_CACHE_CAPACITY = int(os.environ.get("REPRO_TRACE_CACHE", "40000"))
+_TRACE_CACHE_CAPACITY = 40_000
 
 
 def clear_trace_cache() -> None:
@@ -116,13 +115,11 @@ class TTableAES:
             raise BlockSizeError(
                 f"AES blocks are 16 bytes, got {len(plaintext)}"
             )
-        cache_key: Optional[Tuple[bytes, bytes]] = None
-        if _TRACE_CACHE_CAPACITY > 0:
-            cache_key = (self._key, bytes(plaintext))
-            cached = _TRACE_CACHE.get(cache_key)
-            if cached is not None:
-                _TRACE_CACHE.move_to_end(cache_key)
-                return cached
+        cache_key = (self._key, bytes(plaintext))
+        cached = _TRACE_CACHE.get(cache_key)
+        if cached is not None:
+            _TRACE_CACHE.move_to_end(cache_key)
+            return cached
         # State as 4 rows x 4 columns, column-major input mapping.
         state = [[plaintext[r + 4 * c] ^ self._round_keys[0][4 * c + r]
                   for c in range(4)] for r in range(4)]
@@ -137,10 +134,9 @@ class TTableAES:
                                                self._round_keys[NUM_ROUNDS])
         round_traces.append(RoundTrace(NUM_ROUNDS, tuple(lookups)))
         trace = EncryptionTrace(bytes(ciphertext), tuple(round_traces))
-        if cache_key is not None:
-            _TRACE_CACHE[cache_key] = trace
-            if len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
-                _TRACE_CACHE.popitem(last=False)
+        _TRACE_CACHE[cache_key] = trace
+        if len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
+            _TRACE_CACHE.popitem(last=False)
         return trace
 
     # -- internals ---------------------------------------------------------

@@ -117,23 +117,20 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "stdout stays bit-identical (see 'rcoal "
                              "profile' for the sim-cycle cost-center "
                              "profiler)")
-    parser.add_argument("--batched", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="force the batched structure-of-arrays "
-                             "collection core for counts-only phases "
-                             "(--no-batched forces the per-launch event "
-                             "engine); default: REPRO_BATCHED, then on. "
-                             "Counts are checksum-identical either way "
-                             "(see docs/performance.md)")
-    parser.add_argument("--batched-timing", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="force the wavefront-batched exact-timing "
-                             "engine for timed phases "
-                             "(--no-batched-timing forces the per-event "
-                             "engine); default: REPRO_BATCHED_TIMING, "
-                             "then on. The KernelResult is identical "
-                             "either way; unsupported launches fall "
-                             "back to the event engine (see "
+    _add_engine_argument(parser)
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--engine", choices=("fast", "event"),
+                        default="fast",
+                        help="simulation engine: 'fast' (default) runs the "
+                             "wavefront timing core and the batched counts "
+                             "core; 'event' runs the reference paths (the "
+                             "discrete-event engine for timed phases, the "
+                             "scalar per-launch counter for counts-only "
+                             "phases). Output is byte-identical either "
+                             "way; the choice is part of a --resume "
+                             "campaign's fingerprint (see "
                              "docs/performance.md)")
 
 
@@ -216,6 +213,57 @@ def _finish_campaign(campaign) -> int:
                   f"({entry['phase']}): {entry['error']}", file=sys.stderr)
         return EXIT_QUARANTINE
     return EXIT_OK
+
+
+def _context(args, **fields) -> ExperimentContext:
+    """The run's ``ExperimentContext``: where every command turns its
+    parsed arguments, ``--engine`` included, into context fields."""
+    fast = args.engine == "fast"
+    return ExperimentContext(root_seed=args.seed, samples=args.samples,
+                             progress=args.progress, batched=fast,
+                             batched_timing=fast, **fields)
+
+
+def _experiment_context(args, telemetry) -> ExperimentContext:
+    """The context of a one-experiment command (trace, metrics, serve,
+    profile), with its ``--resume`` store opened."""
+    ctx = _context(args, telemetry=telemetry, jobs=args.jobs,
+                   **_resilience_fields(args))
+    if args.resume:
+        ctx = ctx.with_(checkpoint=_open_store(
+            args.resume, args.experiment, ctx, multiple=False,
+            instrumented=True))
+    return ctx
+
+
+def _print_result(experiment_id: str, result, seconds: float, *,
+                  multiple: bool = False, chart: Optional[int] = None,
+                  csv_path: Optional[str] = None,
+                  json_path: Optional[str] = None) -> None:
+    """Print one experiment's result table, then its optional chart and
+    ``--csv``/``--json`` exports (per-experiment files for ``all``).
+
+    Timing goes to stderr: stdout stays bit-identical across runs, -j
+    settings and shard workers, so outputs can be diffed directly (CI
+    does).
+    """
+    print(result.render())
+    if chart is not None:
+        from repro.experiments.charts import result_chart
+        print()
+        print(result_chart(result, column=chart))
+    print(f"[{experiment_id} completed in {seconds:.1f}s]", file=sys.stderr)
+    print()
+    if csv_path:
+        from repro.experiments.export import write_csv
+        target = (f"{csv_path}.{experiment_id}.csv" if multiple
+                  else csv_path)
+        print(f"[csv written to {write_csv(result, target)}]")
+    if json_path:
+        from repro.experiments.export import write_json
+        target = (f"{json_path}.{experiment_id}.json" if multiple
+                  else json_path)
+        print(f"[json written to {write_json(result, target)}]")
 
 
 def _emit_profile_summary(telemetry) -> None:
@@ -344,15 +392,7 @@ def _run_telemetry_command(command: str, argv: List[str]) -> int:
         telemetry = Telemetry(trace_capacity=capacity,
                               profile=args.profile)
         server = None
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+    ctx = _experiment_context(args, telemetry)
 
     try:
         start = time.time()
@@ -361,12 +401,7 @@ def _run_telemetry_command(command: str, argv: List[str]) -> int:
         if server is not None:
             server.stop()
         _emit_profile_summary(telemetry)
-    print(result.render())
-    # Timing goes to stderr: stdout stays bit-identical across runs and
-    # across -j settings, so outputs can be diffed directly (CI does).
-    print(f"[{args.experiment} completed in {time.time() - start:.1f}s]",
-          file=sys.stderr)
-    print()
+    _print_result(args.experiment, result, time.time() - start)
 
     if command == "trace":
         tracer = telemetry.tracer
@@ -451,15 +486,7 @@ def _run_serve_command(argv: List[str]) -> int:
     telemetry = Telemetry(trace_capacity=args.capacity,
                           board=ProgressBoard(), profile=args.profile)
     server = _start_server(args.port, telemetry, campaign_dir=args.resume)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+    ctx = _experiment_context(args, telemetry)
     try:
         start = time.time()
         result = run_experiment(args.experiment, ctx)
@@ -535,22 +562,11 @@ def _run_profile_command(argv: List[str]) -> int:
     configure_logging(args.verbose)
 
     telemetry = Telemetry(trace_capacity=args.capacity, profile=True)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+    ctx = _experiment_context(args, telemetry)
 
     start = time.time()
     result = run_experiment(args.experiment, ctx)
-    print(result.render())
-    print(f"[{args.experiment} completed in {time.time() - start:.1f}s]",
-          file=sys.stderr)
-    print()
+    _print_result(args.experiment, result, time.time() - start)
 
     from repro.analysis.attribution import attribute_rounds
     from repro.analysis.costcenters import (
@@ -765,16 +781,7 @@ def _build_shard_parser() -> argparse.ArgumentParser:
                         help="deterministic chaos, incl. the lease "
                              "targets torn@lease / hang@lease / "
                              "exit@lease / steal@lease (see repro.faults)")
-    parser.add_argument("--batched", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="counts-phase engine selection (as on the "
-                             "main command; part of the campaign "
-                             "fingerprint)")
-    parser.add_argument("--batched-timing", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="timed-phase engine selection (as on the "
-                             "main command; part of the campaign "
-                             "fingerprint)")
+    _add_engine_argument(parser)
     parser.add_argument("--progress", action="store_true",
                         help="per-sample ETA reporting on stderr")
     parser.add_argument("-v", "--verbose", action="count", default=0,
@@ -805,10 +812,7 @@ def _run_shard_command(argv: List[str]) -> int:
         plan = parse_fault_plan(args.faults)
         install_plan(plan)
         fields["faults"] = plan
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            progress=args.progress, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            shard=policy, **fields)
+    ctx = _context(args, shard=policy, **fields)
 
     ids = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
@@ -820,21 +824,10 @@ def _run_shard_command(argv: List[str]) -> int:
         start = time.time()
         result = run_experiment(experiment_id, run_ctx)
         # stdout matches the serial `rcoal all` byte for byte — lease
-        # traffic, resume notes, and timing all go to stderr.
-        print(result.render())
-        print(f"[{experiment_id} completed in {time.time() - start:.1f}s]",
-              file=sys.stderr)
-        print()
-        if args.csv:
-            from repro.experiments.export import write_csv
-            target = (f"{args.csv}.{experiment_id}.csv" if multiple
-                      else args.csv)
-            print(f"[csv written to {write_csv(result, target)}]")
-        if args.json:
-            from repro.experiments.export import write_json
-            target = (f"{args.json}.{experiment_id}.json" if multiple
-                      else args.json)
-            print(f"[json written to {write_json(result, target)}]")
+        # traffic and resume notes go to stderr.
+        _print_result(experiment_id, result, time.time() - start,
+                      multiple=multiple, csv_path=args.csv,
+                      json_path=args.json)
     return EXIT_OK
 
 
@@ -923,11 +916,8 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
                                campaign_dir=args.resume)
     elif args.profile:
         telemetry = Telemetry(profile=True)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
+    ctx = _context(args, telemetry=telemetry, jobs=args.jobs,
+                   **_resilience_fields(args))
 
     multiple = len(ids) > 1
     # An `all --resume` campaign gets a root-level ledger over the
@@ -941,25 +931,9 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             os.path.join(args.resume, JOURNAL_NAME))
 
     def _emit(experiment_id: str, result, seconds: float) -> None:
-        print(result.render())
-        if args.chart is not None:
-            from repro.experiments.charts import result_chart
-            print()
-            print(result_chart(result, column=args.chart))
-        # stderr, so stdout diffs clean across runs and -j settings.
-        print(f"[{experiment_id} completed in {seconds:.1f}s]",
-              file=sys.stderr)
-        print()
-        if args.csv:
-            from repro.experiments.export import write_csv
-            target = (f"{args.csv}.{experiment_id}.csv" if multiple
-                      else args.csv)
-            print(f"[csv written to {write_csv(result, target)}]")
-        if args.json:
-            from repro.experiments.export import write_json
-            target = (f"{args.json}.{experiment_id}.json" if multiple
-                      else args.json)
-            print(f"[json written to {write_json(result, target)}]")
+        _print_result(experiment_id, result, seconds, multiple=multiple,
+                      chart=args.chart, csv_path=args.csv,
+                      json_path=args.json)
 
     batch_start = time.time()
 

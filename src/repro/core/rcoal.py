@@ -44,7 +44,7 @@ class RCoalGPU:
     def __init__(self, policy: CoalescingPolicy,
                  config: Optional[GPUConfig] = None,
                  address_map=None, telemetry=None,
-                 batched_timing=None):
+                 batched_timing: bool = True):
         self.policy = policy
         self.simulator = GPUSimulator(config, address_map=address_map,
                                       telemetry=telemetry,

@@ -66,18 +66,15 @@ class ExperimentContext:
     #: one per CPU). Parallel runs are bit-identical to serial because all
     #: per-sample randomness is derived from (root_seed, stream, sample).
     jobs: int = 1
-    #: Collection-engine selection for counts-only phases: True forces the
-    #: batched structure-of-arrays core, False forces the per-launch event
-    #: path, None (default) resolves via REPRO_BATCHED and then to the
-    #: batched core (counts are checksum-identical either way; timed
-    #: collection always uses the event engine).
-    batched: Optional[bool] = None
-    #: Exact-timing engine selection for timed phases: True forces the
-    #: wavefront-batched core, False forces the per-event engine, None
-    #: (default) resolves via REPRO_BATCHED_TIMING and then to the
-    #: batched core. Either way the KernelResult is identical; launches
-    #: the core does not cover fall back to the event engine.
-    batched_timing: Optional[bool] = None
+    #: Counts-only phases run on the batched structure-of-arrays core
+    #: (True) or the scalar per-launch counter (False). Counts are
+    #: checksum-identical either way.
+    batched: bool = True
+    #: Timed phases run on the wavefront-batched core (True; launches it
+    #: does not cover fall back to the event engine) or the per-event
+    #: engine only (False). The KernelResult is identical either way.
+    #: ``rcoal --engine`` sets both fields together.
+    batched_timing: bool = True
     #: Optional worker supervision (deadlines, retries, quarantine) — a
     #: ``repro.experiments.runner.SupervisionPolicy``. None (the default)
     #: means unsupervised: failures propagate and nothing is retried.

@@ -51,8 +51,7 @@ from repro.telemetry import Telemetry, get_logger
 from repro.telemetry.baseline import compare_snapshots
 from repro.telemetry.journal import JOURNAL_NAME, RunJournal
 from repro.telemetry.metrics import stable_json
-from repro.utils import (atomic_write_bytes, atomic_write_text,
-                         batched_mode, batched_timing_mode)
+from repro.utils import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -112,12 +111,11 @@ def campaign_fingerprint(experiment_id: str, ctx,
         # checksum-identical across the two cores, but like --profile the
         # selection is part of the campaign's identity so a --resume never
         # silently mixes cores.
-        "batched": batched_mode(getattr(ctx, "batched", None)),
+        "batched": ctx.batched,
         # Likewise for exact timing: the wavefront core is KernelResult-
         # identical to the event engine, but the selection is pinned so a
         # resumed campaign is a property of one declared engine choice.
-        "batched_timing": batched_timing_mode(
-            getattr(ctx, "batched_timing", None)),
+        "batched_timing": ctx.batched_timing,
     }
 
 

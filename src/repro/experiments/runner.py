@@ -67,7 +67,7 @@ from repro.telemetry import (
     get_logger,
 )
 from repro.telemetry.journal import RunJournal
-from repro.utils import batched_mode, batched_timing_mode, env_flag
+from repro.utils import env_flag
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
@@ -374,17 +374,13 @@ def _run_chunk(job: _ChunkJob, indices: Sequence[int], attempt: int = 0,
 def _worker_context(ctx: ExperimentContext) -> ExperimentContext:
     """Strip everything a chunk worker must not inherit: the parent's
     telemetry sink, progress reporter, nested parallelism, and the whole
-    resilience layer (supervision happens in the parent only). Engine
-    selection is pinned to the *parent's* resolution so a warm pool's
-    workers never consult their own (possibly stale) ``REPRO_BATCHED``.
-    The run ledger is parent-side too: chunk events are emitted where the
+    resilience layer (supervision happens in the parent only). The run
+    ledger is parent-side too: chunk events are emitted where the
     supervisor sees them, so one ledger file has one writer per process
     tree level."""
     return ctx.with_(telemetry=None, progress=False, jobs=1,
                      supervision=None, faults=None, checkpoint=None,
-                     campaign=None, journal=None, shard=None,
-                     batched=batched_mode(ctx.batched),
-                     batched_timing=batched_timing_mode(ctx.batched_timing))
+                     campaign=None, journal=None, shard=None)
 
 
 def _note_incident(board, kind: str) -> None:

@@ -8,6 +8,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterator, Sequence, TypeVar, Union
 
+from repro.errors import ConfigurationError
+
 T = TypeVar("T")
 
 __all__ = [
@@ -16,8 +18,6 @@ __all__ = [
     "env_int",
     "env_flag",
     "fast_mode",
-    "batched_mode",
-    "batched_timing_mode",
     "scaled_samples",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -65,42 +65,6 @@ def fast_mode() -> bool:
     return env_flag("REPRO_FAST")
 
 
-def batched_mode(explicit: "Union[bool, None]" = None) -> bool:
-    """Resolve the collection-engine selection for counts-only phases.
-
-    Priority: an explicit ``ExperimentContext.batched`` /
-    ``--batched/--no-batched`` setting, then the ``REPRO_BATCHED``
-    environment variable, then the default — **on**, since the batched
-    core is checksum-identical to the event engine on every count it
-    produces (regression-proven by the golden parity suite).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_BATCHED", "").lower()
-    if raw in {"0", "false", "no", "off"}:
-        return False
-    return True
-
-
-def batched_timing_mode(explicit: "Union[bool, None]" = None) -> bool:
-    """Resolve the exact-timing engine selection for timed phases.
-
-    Priority: an explicit ``ExperimentContext.batched_timing`` /
-    ``--batched-timing/--no-batched-timing`` setting, then the
-    ``REPRO_BATCHED_TIMING`` environment variable, then the default —
-    **on**, since the wavefront core produces a ``KernelResult``
-    identical to the event engine's on every launch it accepts and
-    falls back to the event engine otherwise (regression-proven by the
-    golden parity battery).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_BATCHED_TIMING", "").lower()
-    if raw in {"0", "false", "no", "off"}:
-        return False
-    return True
-
-
 def scaled_samples(paper_count: int, fast_count: int) -> int:
     """Sample count for an experiment.
 
@@ -109,7 +73,11 @@ def scaled_samples(paper_count: int, fast_count: int) -> int:
     """
     override = os.environ.get("REPRO_SAMPLES")
     if override:
-        return int(override)
+        try:
+            return int(override)
+        except ValueError:
+            raise ConfigurationError(
+                f"REPRO_SAMPLES={override!r} is not an integer") from None
     return fast_count if fast_mode() else paper_count
 
 

@@ -109,6 +109,9 @@ class EncryptionServer:
         Optional :class:`repro.telemetry.Telemetry` sink threaded into the
         simulator (metrics + trace events). Defaults to the disabled null
         object: uninstrumented runs are bit-identical and pay ~zero cost.
+    batched_timing:
+        Time launches on the wavefront-batched core where it covers them
+        (the default); False keeps every launch on the event engine.
     """
 
     def __init__(
@@ -121,7 +124,7 @@ class EncryptionServer:
         retain_kernel_results: bool = False,
         address_map=None,
         telemetry=None,
-        batched_timing=None,
+        batched_timing: bool = True,
     ):
         if policy.is_randomized and rng is None:
             raise ConfigurationError(

@@ -153,21 +153,9 @@ class TestCoreValidation:
 
 
 class TestEngineSelection:
-    def test_env_override_forces_the_event_engine(self, monkeypatch):
-        # With REPRO_BATCHED=0 and no explicit flag, collection must take
-        # the per-launch path; records still agree, so assert on the
-        # resolved mode directly.
-        from repro.utils import batched_mode
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert batched_mode(None) is False
-        assert batched_mode(True) is True  # explicit flag wins
-        monkeypatch.delenv("REPRO_BATCHED")
-        assert batched_mode(None) is True
-        assert batched_mode(False) is False
-
     def test_timed_collection_ignores_the_batched_flag(self):
-        # Timed records need the event engine; batched=True must not
-        # change them.
+        # ``batched`` selects the counts engine only; timed records must
+        # not change with it.
         ctx = ExperimentContext(root_seed=2018, samples=2)
         policy = make_policy("fss", 4)
         _, timed_a = collect_records(ctx.with_(batched=True), policy, 2)

@@ -15,6 +15,8 @@ wavefronts — every access lands in one FR-FCFS queue), and
 ``icnt_requests_per_cycle > 1`` forward-crossbar rate semantics.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
@@ -55,18 +57,39 @@ def assert_kernel_results_equal(golden, batched):
     assert batched.metrics == golden.metrics
 
 
-def encrypt_both(policy, seed=2018, lines=32, config=None):
-    """One encryption under each engine; returns (golden, batched)."""
+def encrypt_both(policy, seed=2018, lines=32, config=None,
+                 core_serves=True):
+    """One encryption under each engine; returns (golden, batched).
+
+    Asserts which engine timed the batched server's launch: the
+    wavefront core (``core_serves``) or, after ``UnsupportedLaunch``,
+    the event engine. A silent fallback would compare the oracle with
+    itself, so a parity test must never pass that way by accident.
+    """
     key = bytes(RngStream(seed, "key").random_bytes(16))
     plaintext = random_plaintexts(1, lines, RngStream(seed, "pt"))[0]
+    outcomes = []
+    core_run = BatchedTimingCore.run
+
+    def observed_run(core, *args, **kwargs):
+        try:
+            result = core_run(core, *args, **kwargs)
+        except UnsupportedLaunch:
+            outcomes.append("fallback")
+            raise
+        outcomes.append("core")
+        return result
+
     results = []
-    for batched_timing in (False, True):
-        rng = (RngStream(seed, "victim") if policy.is_randomized
-               else None)
-        server = EncryptionServer(key, policy, config=config, rng=rng,
-                                  retain_kernel_results=True,
-                                  batched_timing=batched_timing)
-        results.append(server.encrypt(plaintext).kernel_result)
+    with mock.patch.object(BatchedTimingCore, "run", observed_run):
+        for batched_timing in (False, True):
+            rng = (RngStream(seed, "victim") if policy.is_randomized
+                   else None)
+            server = EncryptionServer(key, policy, config=config, rng=rng,
+                                      retain_kernel_results=True,
+                                      batched_timing=batched_timing)
+            results.append(server.encrypt(plaintext).kernel_result)
+    assert outcomes == (["core"] if core_serves else ["fallback"])
     return results
 
 
@@ -100,11 +123,11 @@ class TestGoldenParity:
 
     def test_multi_warp_launch_falls_back_and_still_agrees(self):
         # 64 lines = two warps: outside the core's coverage, so the
-        # batched server silently replays on the event engine — the
-        # results must still be identical (trivially, but the fallback
-        # path itself is what is under test).
+        # batched server replays on the event engine — the results must
+        # still be identical (trivially, but the fallback path itself is
+        # what is under test).
         golden, batched = encrypt_both(make_policy("rss_rts", 8),
-                                       lines=64)
+                                       lines=64, core_serves=False)
         assert_kernel_results_equal(golden, batched)
         core = BatchedTimingCore.try_create(GPUConfig(),
                                             AddressMap(GPUConfig()))
@@ -242,17 +265,15 @@ class TestIcntRateSemantics:
 
 
 class TestEngineSelection:
-    def test_env_off_disables_the_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
+    def test_default_engages_the_core(self):
         simulator = GPUSimulator()
         simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
-        assert simulator._timed_core is None
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
-        simulator = GPUSimulator(batched_timing=True)
-        simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
         assert simulator._timed_core is not None
+
+    def test_event_engine_keeps_the_core_off(self):
+        simulator = GPUSimulator(batched_timing=False)
+        simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
+        assert simulator._timed_core is None
 
     def test_l2_and_mshr_configs_fall_back(self):
         for config in (GPUConfig(enable_l2=True),

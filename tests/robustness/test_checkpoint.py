@@ -21,8 +21,8 @@ def _fingerprint(**overrides):
     ctx = ExperimentContext(
         root_seed=overrides.pop("root_seed", 11),
         samples=overrides.pop("samples", 8),
-        batched=overrides.pop("batched", None),
-        batched_timing=overrides.pop("batched_timing", None))
+        batched=overrides.pop("batched", True),
+        batched_timing=overrides.pop("batched_timing", True))
     return campaign_fingerprint(overrides.pop("experiment", "fig05"), ctx,
                                 overrides.pop("instrumented", False))
 
@@ -37,23 +37,24 @@ class TestFingerprint:
 
     def test_engine_selection_is_pinned(self, monkeypatch):
         # Like --profile, the counts-engine choice is part of the
-        # campaign's identity; only the *resolved* mode matters, so an
-        # explicit --batched equals the default resolution.
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert _fingerprint()["batched"] is True
+        # campaign's identity. The default fingerprint is the literal one
+        # earlier releases wrote, so their campaigns still resume.
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        monkeypatch.delenv("REPRO_SAMPLES", raising=False)
+        assert campaign_fingerprint("fig05", ExperimentContext(),
+                                    False) == {
+            "format": 1, "experiment": "fig05", "root_seed": 2018,
+            "samples": None, "lines": 32, "config": "default",
+            "repro_fast": None, "repro_samples": None,
+            "instrumented": False, "batched": True, "batched_timing": True,
+        }
         assert _fingerprint(batched=False)["batched"] is False
-        assert _fingerprint(batched=True) == _fingerprint()
 
-    def test_timing_engine_selection_is_pinned(self, monkeypatch):
-        # Same discipline for the exact-timing engine: the resolved
-        # selection is campaign identity, so a resume can never silently
-        # mix the wavefront core with the event engine.
-        monkeypatch.delenv("REPRO_BATCHED_TIMING", raising=False)
+    def test_timing_engine_selection_is_pinned(self):
+        # Same discipline for the exact-timing engine, so a resume can
+        # never silently mix the wavefront core with the event engine.
         assert _fingerprint()["batched_timing"] is True
         assert _fingerprint(batched_timing=False)["batched_timing"] is False
-        assert _fingerprint(batched_timing=True) == _fingerprint()
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
-        assert _fingerprint()["batched_timing"] is False
 
     def test_config_hash_is_stable_and_sensitive(self):
         assert config_hash(None) == "default"

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro import cli
 from repro.cli import EXIT_CONFIG, main
 from repro.experiments.registry import EXPERIMENTS
 
@@ -29,21 +32,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
+    def test_malformed_repro_samples_exits_with_config_code(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SAMPLES", "abc")
+        assert main(["fig05"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: REPRO_SAMPLES='abc' is not an integer" in err
+
 
 class TestEngineSelection:
-    def test_batched_flag_never_changes_stdout(self, capsys):
-        # Observer-effect contract: the counts-engine choice is a pure
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_engine_never_changes_stdout(self, engine, capsys):
+        # Observer-effect contract: the engine choice is a pure
         # performance knob. ablation_selective exercises both counts-only
-        # collection (where the engines differ) and timed collection
-        # (where the flag is ignored), so its full report must be
-        # byte-identical under either engine.
+        # collection (batched core vs scalar counter) and timed
+        # collection (wavefront core vs event engine), so its full report
+        # must be byte-identical to the default run under either engine.
         argv = ["ablation_selective", "--samples", "3"]
-        assert main(argv + ["--batched"]) == 0
-        batched_out = capsys.readouterr().out
-        assert main(argv + ["--no-batched"]) == 0
-        event_out = capsys.readouterr().out
-        assert "ablation_selective" in batched_out
-        assert batched_out == event_out
+        assert main(argv) == 0
+        default_out = capsys.readouterr().out
+        assert main(argv + ["--engine", engine]) == 0
+        engine_out = capsys.readouterr().out
+        assert "ablation_selective" in default_out
+        assert engine_out == default_out
+
+    @pytest.mark.parametrize("build,argv", [
+        (cli._build_parser, ["fig05"]),
+        (lambda: cli._build_telemetry_parser("trace"), ["fig05"]),
+        (lambda: cli._build_telemetry_parser("metrics"), ["fig05"]),
+        (cli._build_serve_parser, ["fig05"]),
+        (cli._build_profile_parser, ["fig05"]),
+        (cli._build_shard_parser, ["runs", "fig05"]),
+    ], ids=["run", "trace", "metrics", "serve", "profile", "shard"])
+    def test_every_run_command_takes_only_engine(self, build, argv):
+        parser = build()
+        assert parser.parse_args(argv).engine == "fast"
+        assert parser.parse_args(argv + ["--engine", "event"]).engine \
+            == "event"
+        dests = {action.dest for action in parser._actions}
+        assert not dests & {"batched", "batched_timing"}
+
+    def test_unknown_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig05", "--engine", "warp"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTelemetryCommands:
